@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "broker/broker.h"
@@ -143,11 +144,22 @@ int main() {
       broker->subscribe(trader, rule);
     }
 
+    // Phase-2 work counters are read from the broker's telemetry: deltas
+    // of the per-shard ncps_match_*_total counters across the tick stream.
+    const auto totals = [&broker] {
+      const obs::MetricsSnapshot snap = broker->metrics();
+      const std::uint64_t work =
+          snap.counter_total("ncps_match_tree_evaluations_total") +
+          snap.counter_total("ncps_match_node_evaluations_total") +
+          snap.counter_total("ncps_match_hit_increments_total") +
+          snap.counter_total("ncps_match_counter_comparisons_total");
+      return std::pair{snap.counter_total("ncps_match_candidates_total"), work};
+    };
+    const auto [candidates_before, work_before] = totals();
+
     // One shared deterministic tick stream.
     Pcg32 rng(99);
     ZipfSampler zipf(kSymbolCount, 1.2);
-    std::uint64_t candidates = 0;
-    std::uint64_t work = 0;
     for (int tick = 0; tick < 5000; ++tick) {
       const Event e =
           EventBuilder(attrs)
@@ -158,11 +170,10 @@ int main() {
                    static_cast<double>(rng.range(-100, 100)) / 10.0)
               .build();
       broker->publish(e);
-      const MatchStats& stats = broker->engine().last_stats();
-      candidates += stats.candidates;
-      work += stats.tree_evaluations + stats.node_evaluations +
-              stats.hit_increments + stats.counter_comparisons;
     }
+    const auto [candidates_after, work_after] = totals();
+    const std::uint64_t candidates = candidates_after - candidates_before;
+    const std::uint64_t work = work_after - work_before;
 
     std::printf("%-18s %12zu %12llu %14llu %14zu\n",
                 std::string(to_string(kind)).c_str(), notifications,

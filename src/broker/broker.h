@@ -1,8 +1,9 @@
 // Single-node broker: subscriber sessions around a filtering engine.
 //
 // Broker is the shards=1 specialisation of ShardedBroker — one engine, one
-// predicate table, no worker threads, the exact seed semantics — kept as its
-// own type because it is the deployment surface most callers want:
+// predicate table, one match worker (the publishing thread itself) plus the
+// apply thread — kept as its own type because it is the deployment surface
+// most callers want:
 // subscribers register textual subscriptions, publishers push events, and
 // matching subscribers receive notifications through their callbacks. The
 // filtering engine is pluggable (any of the paper's three algorithms),

@@ -244,9 +244,10 @@ void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
 
   // Recovery-time build pool: engine state loads and bulk index builds take
   // a generic ThreadPool (the match scheduler's work-stealing pool is not
-  // one). Constructor tail, so a temporary sized to the match pool is fine.
+  // one). Constructor tail, so a temporary sized to the match pool is fine;
+  // a one-worker broker builds sequentially.
   std::unique_ptr<ThreadPool> build_pool;
-  if (pool_ != nullptr) {
+  if (pool_->thread_count() > 1) {
     build_pool = std::make_unique<ThreadPool>(pool_->thread_count());
   }
 
@@ -450,7 +451,7 @@ void ShardedBroker::checkpoint() {
   // unconditionally. prepare_snapshot/compact below then see the canonical
   // quarantine-free shape save_state() expects.
   for (auto& shard : shards_) {
-    if (shard->epochs != nullptr) shard->epochs->flush_reclaim();
+    shard->epochs->flush_reclaim();
   }
 
   storage::Writer payload;

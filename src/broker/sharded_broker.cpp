@@ -16,9 +16,10 @@ namespace {
 /// Adaptive chunking target: total match tasks per batch aims at this many
 /// per pool worker, so a worker that finishes its own slice finds several
 /// stealable chunks on a skew-loaded shard's deque. 8 keeps per-task
-/// overhead (one shared-lock + one stats fold) well under 1% for the
-/// benchmark batch sizes while leaving enough granularity to level a
-/// worst-case all-on-one-shard skew.
+/// overhead (one epoch pin, one stats fold, one control-queue check) well
+/// under 1% for the benchmark batch sizes while leaving enough granularity
+/// to level a worst-case all-on-one-shard skew. A one-worker broker keeps
+/// the eight chunks: queued control ops apply at chunk boundaries.
 constexpr std::size_t kMatchTasksPerWorker = 8;
 
 /// Per-event-range merge fan-out (tasks per worker). Merging is cheap per
@@ -84,21 +85,24 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
     const std::size_t hw = std::thread::hardware_concurrency();
     threads = std::min(config.shard_count, hw == 0 ? std::size_t{1} : hw);
   }
-  if (config.shard_count > 1 || threads > 1) {
-    pool_ = std::make_unique<WorkStealingPool>(threads);
-    // One context per worker, built from shard 0's engine (all shards run
-    // the same engine kind, and contexts of one kind are interchangeable).
-    worker_contexts_.reserve(pool_->thread_count());
-    for (std::size_t w = 0; w < pool_->thread_count(); ++w) {
-      worker_contexts_.push_back(shards_[0]->engine->make_context());
-    }
-    // One epoch domain per shard, one reader slot per pool worker: match
-    // tasks pin their worker's slot, mutators close the write gate. The
-    // engines route their internal deferred frees (forest quarantine,
-    // posting-block collapse) onto it.
-    for (auto& shard : shards_) {
-      shard->epochs = std::make_unique<EpochDomain>(pool_->thread_count());
-      shard->engine->set_epoch_domain(shard->epochs.get());
+  pool_ = std::make_unique<WorkStealingPool>(threads);
+  // One context per worker, built from shard 0's engine (all shards run the
+  // same engine kind, and contexts of one kind are interchangeable).
+  worker_contexts_.reserve(pool_->thread_count());
+  for (std::size_t w = 0; w < pool_->thread_count(); ++w) {
+    worker_contexts_.push_back(shards_[0]->engine->make_context());
+  }
+  // One epoch domain per shard, one reader slot per pool worker: match
+  // tasks pin their worker's slot, mutators close the write gate. The
+  // engines route their internal deferred frees (forest quarantine,
+  // posting-block collapse) onto it.
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    shard.epochs = std::make_unique<EpochDomain>(pool_->thread_count());
+    shard.engine->set_epoch_domain(shard.epochs.get());
+    if (cells_ != nullptr) {
+      shard.grace_wait = &registry_.histogram(
+          "ncps_epoch_grace_wait_seconds", {{"shard", std::to_string(s)}});
     }
   }
   shard_match_stats_.reserve(shards_.size());
@@ -115,11 +119,9 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
     recover_from_storage();
   }
   // Last, so it never observes a half-constructed broker: the dedicated
-  // apply thread keeps control commands flowing while batches match. Seed
-  // brokers (no pool) skip it — their commands always apply inline.
-  if (pool_ != nullptr) {
-    apply_thread_ = std::thread([this] { apply_loop(); });
-  }
+  // apply thread applies commands that were queued while a mutator held
+  // their shard, once no batch is matching.
+  apply_thread_ = std::thread([this] { apply_loop(); });
 }
 
 ShardedBroker::~ShardedBroker() {
@@ -274,94 +276,54 @@ SubscriptionId ShardedBroker::subscribe(SubscriberId subscriber,
   const std::uint32_t s = router_.route(subscriber, subscribe_sequence_);
   Shard& shard = *shards_[s];
 
-  SubscriptionId global;
   const std::uint64_t generation =
       issue_generation_.load(std::memory_order_relaxed) + 1;
   const std::uint64_t issue_tick = cells_ == nullptr ? 0 : obs::now_ticks();
-  std::unique_lock<std::shared_mutex> shard_lock(shard.mutex,
-                                                 std::try_to_lock);
-  if (shard_lock.owns_lock()) {
-    // No other mutator holds the shard: apply inline (after anything
-    // already queued, preserving command order). The write gate is entered
-    // only around the actual mutations — a wait bounded by the in-flight
-    // chunks, not the batch. The engine's add() validates as it registers,
-    // so a failure (e.g. DNF explosion in a counting engine) propagates
-    // here with no broker state change — the seed broker's exact semantics.
-    ShardWriteGuard gate(shard);
-    drain_shard(shard, gate);
-    if (journal_ != nullptr) {
-      // Journal-commit-before-apply requires the apply to be infallible
-      // once the record is durable, so run the queued branch's
-      // pre-validation here too before anything is written.
-      PredicateTable scratch;
-      const ast::Expr expr = intern_tree(*raw, scratch);
-      shard.engine->validate(expr.root(), scratch);
-    }
-    global = allocate_global_locked();
+  std::unique_lock<std::shared_mutex> shard_lock;
+  const bool apply_inline = lock_idle_shard(shard, shard_lock);
+  // Applied inline after anything already queued, preserving command order.
+  ShardWriteGuard gate(shard);
+  if (apply_inline) drain_shard(shard, gate);
+  // A queued command must not fail when applied, nor a journaled one once
+  // durable (commit-before-apply), so both pre-validate. The engine's
+  // validate() (a no-op for non-canonical, the add()-time canonicalisation
+  // checks for the counting family) touches no mutable engine state, so it
+  // is safe while the engine matches. An unjournaled inline apply lets
+  // add() validate as it registers, failing with no broker state change.
+  if (!apply_inline || journal_ != nullptr) {
+    PredicateTable scratch;
+    const ast::Expr expr = intern_tree(*raw, scratch);
+    shard.engine->validate(expr.root(), scratch);
+  }
+  const SubscriptionId global = allocate_global_locked();
+  try {
     if (journal_ != nullptr) {
       storage::JournalRecord record;
       record.type = storage::JournalRecord::Type::Subscribe;
       record.subscriber = subscriber.value();
       record.global = global.value();
       record.text = std::string(text);
-      try {
-        journal_commit_locked(std::move(record));
-      } catch (...) {
-        free_globals_.push_back(global);  // nothing was registered
-        throw;
-      }
+      journal_commit_locked(std::move(record));
     }
-    try {
+    if (apply_inline) {
       gate.enter();
       apply_subscribe(shard, global, subscriber, *raw);
-    } catch (...) {
-      free_globals_.push_back(global);  // nothing was registered
-      throw;
     }
+  } catch (...) {
+    free_globals_.push_back(global);  // nothing was registered
+    throw;
+  }
+  if (apply_inline) {
     issue_generation_.store(generation, std::memory_order_release);
     shard.fence.advance(generation);
     record_apply_latency(issue_tick);
   } else {
-    // Shard busy with a batch: pre-validate everything that could fail at
-    // application time, then hand the command to the shard's queue. The
-    // engine's own validate() (a no-op for non-canonical, the add()-time
-    // canonicalisation checks for the counting family) surfaces
-    // DnfExplosionError / SubscriptionTooLargeError synchronously, so a
-    // queued command can no longer fail; it touches no mutable engine
-    // state, so calling it while the engine matches is safe.
-    {
-      PredicateTable scratch;
-      const ast::Expr expr = intern_tree(*raw, scratch);
-      shard.engine->validate(expr.root(), scratch);
-    }
-    global = allocate_global_locked();
-    if (journal_ != nullptr) {
-      storage::JournalRecord record;
-      record.type = storage::JournalRecord::Type::Subscribe;
-      record.subscriber = subscriber.value();
-      record.global = global.value();
-      record.text = std::string(text);
-      try {
-        journal_commit_locked(std::move(record));
-      } catch (...) {
-        free_globals_.push_back(global);
-        throw;
-      }
-    }
     ShardCommand command;
     command.kind = ShardCommand::Kind::Subscribe;
     command.global = global;
     command.owner = subscriber;
     command.raw = std::move(raw);
-    command.generation = generation;
-    command.enqueue_tick = issue_tick;
-    shard.queued_commands.fetch_add(1, std::memory_order_relaxed);
-    shard.commands.push(std::move(command));
-    // Publish the generation only after the push: a drain that snapshots
-    // issue_generation_ must find every command at or below its snapshot
-    // already linked in the queue.
-    issue_generation_.store(generation, std::memory_order_release);
-    signal_apply();
+    enqueue_command(shard, std::move(command), generation, issue_tick);
   }
 
   ++subscribe_sequence_;
@@ -461,9 +423,8 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
     const std::uint64_t generation =
         issue_generation_.load(std::memory_order_relaxed) + 1;
     const std::uint64_t issue_tick = cells_ == nullptr ? 0 : obs::now_ticks();
-    std::unique_lock<std::shared_mutex> shard_lock(shard.mutex,
-                                                   std::try_to_lock);
-    if (shard_lock.owns_lock()) {
+    std::unique_lock<std::shared_mutex> shard_lock;
+    if (lock_idle_shard(shard, shard_lock)) {
       ShardWriteGuard gate(shard);
       drain_shard(shard, gate);
       gate.enter();
@@ -480,19 +441,14 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
       shard.fence.advance(generation);
       record_apply_latency(issue_tick);
     } else {
-      // Another mutator holds the shard: one command carries the whole
-      // batch; the next drain applies it with the same bulk-load window
-      // (sequential build — the drainer may be the apply thread or a pool
-      // worker, and nesting pool joins deadlocks).
+      // The shard is busy: one command carries the whole batch; the next
+      // drain applies it with the same bulk-load window (sequential build —
+      // the drainer may be the apply thread or a match task, and nesting
+      // pool joins deadlocks).
       ShardCommand command;
       command.kind = ShardCommand::Kind::BulkSubscribe;
       command.bulk = std::move(per_shard[s]);
-      command.generation = generation;
-      command.enqueue_tick = issue_tick;
-      shard.queued_commands.fetch_add(1, std::memory_order_relaxed);
-      shard.commands.push(std::move(command));
-      issue_generation_.store(generation, std::memory_order_release);
-      signal_apply();
+      enqueue_command(shard, std::move(command), generation, issue_tick);
     }
   }
   if (cells_ != nullptr) cells_->subscribe_ops.add(out.size());
@@ -509,9 +465,8 @@ void ShardedBroker::issue_unsubscribe_locked(SubscriptionId global,
   const std::uint64_t generation =
       issue_generation_.load(std::memory_order_relaxed) + 1;
   const std::uint64_t issue_tick = cells_ == nullptr ? 0 : obs::now_ticks();
-  std::unique_lock<std::shared_mutex> shard_lock(shard.mutex,
-                                                 std::try_to_lock);
-  if (shard_lock.owns_lock()) {
+  std::unique_lock<std::shared_mutex> shard_lock;
+  if (lock_idle_shard(shard, shard_lock)) {
     ShardWriteGuard gate(shard);
     drain_shard(shard, gate);
     gate.enter();
@@ -536,12 +491,7 @@ void ShardedBroker::issue_unsubscribe_locked(SubscriptionId global,
     ShardCommand command;
     command.kind = ShardCommand::Kind::Unsubscribe;
     command.global = global;
-    command.generation = generation;
-    command.enqueue_tick = issue_tick;
-    shard.queued_commands.fetch_add(1, std::memory_order_relaxed);
-    shard.commands.push(std::move(command));
-    issue_generation_.store(generation, std::memory_order_release);
-    signal_apply();
+    enqueue_command(shard, std::move(command), generation, issue_tick);
     retired_globals_.push_back(
         RetiredGlobal{global, route.shard, route.owner, generation});
   }
@@ -574,6 +524,36 @@ bool ShardedBroker::unsubscribe(SubscriptionId subscription) {
   issue_unsubscribe_locked(subscription, route);
   if (cells_ != nullptr) cells_->unsubscribe_ops.add();
   return true;
+}
+
+bool ShardedBroker::lock_idle_shard(Shard& shard,
+                                    std::unique_lock<std::shared_mutex>& lock) {
+  // Checked again under the lock: the publisher raises matching_ before
+  // its batch-start drain takes each shard mutex, so a control thread that
+  // wins the lock after that drain sees the flag, and one that wins it
+  // before finishes before any chunk pins the shard.
+  if (matching_.load(std::memory_order_seq_cst)) return false;
+  lock = std::unique_lock<std::shared_mutex>(shard.mutex, std::try_to_lock);
+  if (!lock.owns_lock()) return false;
+  if (matching_.load(std::memory_order_seq_cst)) {
+    lock.unlock();
+    return false;
+  }
+  return true;
+}
+
+void ShardedBroker::enqueue_command(Shard& shard, ShardCommand&& command,
+                                    std::uint64_t generation,
+                                    std::uint64_t issue_tick) {
+  command.generation = generation;
+  command.enqueue_tick = issue_tick;
+  shard.queued_commands.fetch_add(1, std::memory_order_relaxed);
+  shard.commands.push(std::move(command));
+  // Publish the generation only after the push: a drain that snapshots
+  // issue_generation_ must find every command at or below its snapshot
+  // already linked in the queue.
+  issue_generation_.store(generation, std::memory_order_release);
+  signal_apply();
 }
 
 std::size_t ShardedBroker::drain_shard(Shard& shard, ShardWriteGuard& gate) {
@@ -655,36 +635,25 @@ void ShardedBroker::apply_unsubscribe(Shard& shard, SubscriptionId global) {
   shard.owner_of[local.value()] = SubscriberId::invalid();
 }
 
+void ShardedBroker::set_matching(bool on) {
+  bool wake = false;
+  {
+    const std::lock_guard<std::mutex> lock(apply_cv_mutex_);
+    matching_.store(on, std::memory_order_seq_cst);
+    wake = !on && apply_kick_;
+  }
+  if (wake) apply_cv_.notify_one();
+}
+
 void ShardedBroker::run_match_tasks(std::span<const Event> events) {
   const std::size_t shard_count = shards_.size();
-  if (pool_ == nullptr) {
-    // Seed path (one shard, one thread): drain and match under one
-    // continuous exclusive lock through the engine's legacy match_batch, so
-    // its last_stats()/cumulative_stats() keep their single-threaded
-    // per-publish semantics. No epoch domain exists here; the guard is a
-    // no-op and frees stay immediate.
-    chunk_events_ = events.size();
-    chunk_count_ = 1;
-    if (match_buffers_.empty()) match_buffers_.resize(1);
-    match_buffers_[0].clear();
-    Shard& shard = *shards_[0];
-    const std::lock_guard<std::shared_mutex> lock(shard.mutex);
-    ShardWriteGuard gate(shard);
-    drain_shard(shard, gate);
-    ChunkSink sink(shard, match_buffers_[0]);
-    shard.engine->match_batch(events, sink);
-    return;
-  }
 
   // Phase A — batch-start barrier: apply queued commands shard by shard, so
   // every command issued before this batch started is visible to all of it
   // (the "matched by every batch that starts after subscribe() returns"
-  // contract). The apply thread usually leaves these queues empty; an empty
-  // drain is a mutex round-trip plus a fence advance, no grace period.
-  // Commands arriving *after* this point may still land mid-batch — the
-  // apply thread or an inline control op takes the write gate between
-  // chunks — which is the design: apply latency is bounded by the chunk
-  // cap, not the batch.
+  // contract). An empty drain is a mutex round-trip plus a fence advance,
+  // no grace period. Commands arriving *after* this point are applied by
+  // the match tasks at their chunk boundaries (matching_ is already set).
   for (auto& shard : shards_) {
     const std::lock_guard<std::shared_mutex> lock(shard->mutex);
     ShardWriteGuard gate(*shard);
@@ -718,8 +687,7 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
   // shard (t / chunk_count_). Shard-major, so the contiguous slices the
   // pool deals keep a worker on one shard's engine until it runs dry and
   // steals. Workers match lock-free inside an epoch-pinned EngineView on
-  // their own slot; a shard's engine may be read by many workers at once,
-  // and a mutator slips in whenever no chunk of that shard is pinned.
+  // their own slot; a shard's engine may be read by many workers at once.
   const auto fn = [&](std::size_t task, std::size_t worker) {
     const std::size_t s = task / chunk_count_;
     const std::size_t first = (task % chunk_count_) * chunk_events_;
@@ -729,11 +697,23 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
     MatchContext& ctx = *worker_contexts_[worker];
     ctx.stats.reset();
     {
-      const EngineView view(*shard.engine, shard.epochs.get(), worker);
+      const EngineView view(*shard.engine, *shard.epochs, worker);
       ChunkSink sink(shard, match_buffers_[task]);
       view.match_range(events, first, last, sink, ctx);
     }
     shard_match_stats_[s]->add(ctx.stats);
+    // Chunk boundary: unpinned now, this worker applies the control ops
+    // queued on its shard meanwhile; the gate waits only for other
+    // workers' chunks of the shard. A busy mutex means another mutator
+    // drains it, or the next boundary will.
+    if (shard.queued_commands.load(std::memory_order_acquire) != 0) {
+      const std::unique_lock<std::shared_mutex> lock(shard.mutex,
+                                                     std::try_to_lock);
+      if (lock.owns_lock()) {
+        ShardWriteGuard gate(shard);
+        drain_shard(shard, gate);
+      }
+    }
   };
   const WorkStealingPool::RunStats run = pool_->run_tasks(task_count, fn);
   if (cells_ != nullptr) {
@@ -761,7 +741,7 @@ void ShardedBroker::merge_all(std::span<const Event> events) {
   }
   merged_.resize(event_offsets_[event_count]);
 
-  if (pool_ == nullptr || event_count == 1) {
+  if (pool_->thread_count() == 1 || event_count == 1) {
     merge_event_range(0, event_count);
     return;
   }
@@ -881,7 +861,17 @@ std::size_t ShardedBroker::publish_batch(std::span<const Event> events) {
   }
   publishing_thread_.store(std::this_thread::get_id(),
                            std::memory_order_relaxed);
-  run_match_tasks(events);
+  // While matching, control ops queue for the match tasks instead of
+  // taking the write gate on their own thread (lock_idle_shard), so the
+  // publisher never stalls behind a control thread that holds it.
+  set_matching(true);
+  try {
+    run_match_tasks(events);
+  } catch (...) {
+    set_matching(false);
+    throw;
+  }
+  set_matching(false);
   merge_all(events);
   std::size_t delivered;
   if (delivery_ != nullptr) {
@@ -929,32 +919,28 @@ void ShardedBroker::wait_applied(std::uint64_t generation) {
   // Kick the apply thread first: an inline-applied command advances only
   // its own shard's fence, so idle shards may sit below `generation` with
   // nothing queued and no batch coming to drain them. One drain pass
-  // advances every fence to the issued generation. Seed brokers (single
-  // shard, no pool) have no apply thread and no lag either: every command
-  // applies inline and advances the only fence before returning.
+  // advances every fence to the issued generation; during a batch the
+  // match tasks apply what is queued and the kick is served when the batch
+  // stops matching.
   signal_apply();
   for (auto& shard : shards_) shard->fence.wait_until(generation);
 }
 
-bool ShardedBroker::apply_pending() const {
-  for (const auto& shard : shards_) {
-    if (shard->queued_commands.load(std::memory_order_acquire) > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void ShardedBroker::signal_apply() {
+  // Not yet started while the constructor recovers from storage; recovery
+  // applies everything inline.
   if (!apply_thread_.joinable()) return;
   // The kick is level-triggered state under the CV mutex, so the apply
   // thread cannot check its predicate, lose the CPU, miss this notify and
-  // sleep through a request it has not yet served.
+  // sleep through a request it has not yet served. While a batch matches
+  // the kick just waits: set_matching(false) delivers it.
+  bool wake = false;
   {
     const std::lock_guard<std::mutex> lock(apply_cv_mutex_);
     apply_kick_ = true;
+    wake = !matching_.load(std::memory_order_relaxed);
   }
-  apply_cv_.notify_one();
+  if (wake) apply_cv_.notify_one();
 }
 
 void ShardedBroker::apply_loop() {
@@ -962,7 +948,8 @@ void ShardedBroker::apply_loop() {
     {
       std::unique_lock<std::mutex> lock(apply_cv_mutex_);
       apply_cv_.wait(lock, [this] {
-        return apply_stop_ || apply_kick_ || apply_pending();
+        return apply_stop_ ||
+               (apply_kick_ && !matching_.load(std::memory_order_relaxed));
       });
       if (apply_stop_) return;
       apply_kick_ = false;  // consumed by the drain pass below
@@ -971,18 +958,22 @@ void ShardedBroker::apply_loop() {
     // advance everywhere for wait_applied (which waits on the max over all
     // shards) to be self-driving, and an empty drain is nearly free — the
     // write gate is entered lazily, so idle shards pay a mutex round-trip
-    // and a fence advance, never a grace period.
-    std::size_t applied = 0;
+    // and a fence advance, never a grace period. A batch that starts
+    // matching mid-pass owns the remaining shards (its match tasks drain
+    // them); the kick is re-armed for when it stops.
+    bool deferred = false;
     for (auto& shard : shards_) {
       const std::lock_guard<std::shared_mutex> lock(shard->mutex);
+      if (matching_.load(std::memory_order_seq_cst)) {
+        deferred = true;
+        break;
+      }
       ShardWriteGuard gate(*shard);
-      applied += drain_shard(*shard, gate);
+      drain_shard(*shard, gate);
     }
-    if (applied == 0 && apply_pending()) {
-      // A producer is mid-push (queued_commands incremented, node not yet
-      // linked — the MPSC queue's benign window). Yield rather than spin
-      // through the CV, whose predicate would stay true.
-      std::this_thread::yield();
+    if (deferred) {
+      const std::lock_guard<std::mutex> lock(apply_cv_mutex_);
+      apply_kick_ = true;
     }
   }
 }
@@ -1045,26 +1036,21 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
   // and journal cells): a pure copy of relaxed atomics, no broker locks.
   registry_.snapshot_into(snap);
 
-  // Per-shard samples under each shard's lock (shared — sampling is a
-  // read), taken one at a time so a long batch on shard 3 doesn't block
-  // sampling shard 0. Two disjoint sources fold together: the engine's own
-  // cumulative stats (grown only by the legacy single-threaded publish
-  // path, plain integers under the exclusive lock) and the per-shard
-  // AtomicMatchStats cells the concurrent match tasks feed once per task —
-  // still zero atomics per event on the match path.
+  // Per-shard samples. Match-work totals come from the AtomicMatchStats
+  // cells the match tasks feed once per task (zero atomics per event on the
+  // match path); the subscription count is read under the shard's lock
+  // (shared — sampling is a read), one shard at a time.
   const std::uint64_t issued =
       issue_generation_.load(std::memory_order_acquire);
   std::size_t subscriptions_total = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
-    MatchStats stats;
+    const MatchStats stats = shard_match_stats_[s]->load();
     std::size_t subs = 0;
     {
       const std::shared_lock<std::shared_mutex> lock(shard.mutex);
-      stats = shard.engine->cumulative_stats();
       subs = shard.engine->subscription_count();
     }
-    stats.accumulate(shard_match_stats_[s]->load());
     subscriptions_total += subs;
     const obs::Labels labels{{"shard", std::to_string(s)}};
     snap.add_counter("ncps_match_events_total", labels, stats.events);
@@ -1098,10 +1084,8 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
     // Epoch-reclaim backlog: retired entries (forest nodes, posting blocks)
     // whose grace period has not yet passed. Persistent growth here means a
     // reader is pinning an epoch far longer than one chunk should take.
-    if (shard.epochs != nullptr) {
-      snap.add_gauge("ncps_epoch_reclaim_deferred", labels,
-                     static_cast<double>(shard.epochs->deferred_count()));
-    }
+    snap.add_gauge("ncps_epoch_reclaim_deferred", labels,
+                   static_cast<double>(shard.epochs->deferred_count()));
     snap.add_gauge("ncps_shard_subscriptions", labels,
                    static_cast<double>(subs));
   }
@@ -1110,24 +1094,21 @@ obs::MetricsSnapshot ShardedBroker::metrics() const {
   // are loaded. Busy fraction is cumulative drain time over pool lifetime —
   // a persistently low worker under a hot batch stream means the chunking
   // is too coarse to steal.
-  if (pool_ != nullptr) {
-    const std::vector<WorkStealingPool::WorkerSample> samples =
-        pool_->sample_workers();
-    const std::uint64_t lifetime = pool_->lifetime_ns();
-    double queued_total = 0;
-    for (std::size_t w = 0; w < samples.size(); ++w) {
-      queued_total += static_cast<double>(samples[w].queued);
-      snap.add_gauge("ncps_worker_busy_fraction",
-                     {{"worker", std::to_string(w)}},
-                     lifetime == 0
-                         ? 0.0
-                         : static_cast<double>(samples[w].busy_ns) /
-                               static_cast<double>(lifetime));
-    }
-    snap.add_gauge("ncps_pool_queue_depth", {}, queued_total);
-    snap.add_gauge("ncps_pool_workers", {},
-                   static_cast<double>(samples.size()));
+  const std::vector<WorkStealingPool::WorkerSample> samples =
+      pool_->sample_workers();
+  const std::uint64_t lifetime = pool_->lifetime_ns();
+  double queued_total = 0;
+  for (std::size_t w = 0; w < samples.size(); ++w) {
+    queued_total += static_cast<double>(samples[w].queued);
+    snap.add_gauge("ncps_worker_busy_fraction",
+                   {{"worker", std::to_string(w)}},
+                   lifetime == 0 ? 0.0
+                                 : static_cast<double>(samples[w].busy_ns) /
+                                       static_cast<double>(lifetime));
   }
+  snap.add_gauge("ncps_pool_queue_depth", {}, queued_total);
+  snap.add_gauge("ncps_pool_workers", {},
+                 static_cast<double>(samples.size()));
   snap.add_gauge("ncps_subscriptions", {},
                  static_cast<double>(subscriptions_total));
   snap.add_gauge("ncps_subscribers", {},

@@ -23,8 +23,9 @@
 // write gate (waiting out the pinned chunks, never a whole batch) for
 // exactly the duration of the mutation. The shard mutex survives only to
 // serialise *mutators* against each other — drains, inline applies, bulk
-// loads, checkpoint, metrics sampling — never to admit readers. Each task
-// streams matches
+// loads, checkpoint, metrics sampling — never to admit readers. The
+// publishing thread is pool worker 0, so a one-worker broker matches and
+// merges inline on the publisher. Each task streams matches
 // into its own (shard, chunk) buffer via the engines' MatchSink interface,
 // and the buffers are merged deterministically (per event, ascending global
 // subscription id — byte-identical regardless of shard count, chunking or
@@ -41,30 +42,29 @@
 // number of threads concurrently with publishing. Every control operation is
 // turned into a command for the owning shard:
 //
-//   - if no other mutator holds the shard's mutex, the command — after any
-//     commands already queued for the shard — is applied inline: the
-//     applier enters the shard's epoch write gate, waits out the chunks
-//     currently pinned (bounded by the chunk cap, NOT by the batch), and
-//     mutates. Single-threaded callers observe the exact seed-broker
-//     semantics: a subscription is matchable the instant subscribe()
-//     returns;
-//   - if another mutator holds the mutex, the command is pushed onto the
-//     shard's lock-free MPSC queue and applied by whichever mutator next
-//     drains the shard — the dedicated apply thread (woken by the push),
-//     the publishing thread at the start of the next batch, or quiesce().
-//     The publisher never takes the control-plane lock.
+//   - if no batch is matching and no other mutator holds the shard's
+//     mutex, the command — after any commands already queued for the
+//     shard — is applied inline on the calling thread, inside the shard's
+//     epoch write gate (no chunk is pinned, so the gate is free).
+//     Single-threaded callers observe that a subscription is matchable the
+//     instant subscribe() returns;
+//   - otherwise the command is pushed onto the shard's lock-free MPSC
+//     queue. While a batch matches, the match tasks themselves apply it:
+//     after a task unpins its chunk it drains its shard's queue, so an op
+//     waits at most for the rest of one chunk, never for the batch, and
+//     the publisher never stalls behind a control thread holding the write
+//     gate. Outside a batch the dedicated apply thread (woken by the push)
+//     drains it, as do the next batch's start and quiesce(). The publisher
+//     never takes the control-plane lock.
 //
-// Commands therefore apply *concurrently with matching*: a long batch no
-// longer gates the control plane (the old design parked commands until the
-// batch's fan-out finished — see git history for matching_active_). Batch
-// determinism is unaffected where it is promised: the merged notification
-// order for a fixed engine state is byte-identical regardless of shard
-// count, chunking or stealing, and without concurrent control threads the
-// publish lock means every command still lands between batches. With
-// concurrent churn, *which* chunk boundary a command lands on is timing-
-// dependent — exactly as which *batch* boundary it landed on was before —
-// and the post-quiesce state is identical either way (churn_fuzz proves
-// both).
+// Commands therefore apply *concurrently with matching*, at chunk
+// boundaries. Batch determinism is unaffected where it is promised: the
+// merged notification order for a fixed engine state is byte-identical
+// regardless of shard count, chunking or stealing, and without concurrent
+// control threads the publish lock means every command still lands
+// between batches. With concurrent churn, *which* chunk boundary a command
+// lands on is timing-dependent and the post-quiesce state is identical
+// either way (churn_fuzz proves both).
 //
 // Commands carry a broker-wide issue generation; each shard's
 // GenerationFence records how far it has applied. That gives unsubscribe an
@@ -83,8 +83,8 @@
 // the calling thread, so DNF-explosion errors are also synchronous and a
 // queued command can no longer fail.
 //
-// shard_count=1 is the seed broker: no threads are spawned and the publish
-// path degenerates to match-then-deliver — Broker (broker.h) is a thin
+// shard_count=1 with one worker runs this same path: the publisher is the
+// only matching thread, plus the apply thread. Broker (broker.h) is a thin
 // specialisation of this class.
 #pragma once
 
@@ -138,18 +138,18 @@ enum class MatchScheduler : std::uint8_t {
 };
 
 struct ShardedBrokerConfig {
-  /// Independent engine shards. 1 reproduces the seed single-engine broker.
+  /// Independent engine shards. 1 is the single-engine broker (Broker).
   std::size_t shard_count = 1;
   EngineKind engine = EngineKind::NonCanonical;
   /// Forest normalisation for EngineKind::NonCanonical shards
   /// (shared_forest.h); ignored by the other engine kinds.
   Normalisation normalisation = Normalisation::None;
-  /// Worker threads matching published batches. 0 picks
-  /// min(shard_count, hardware_concurrency). A pool is spawned when the
-  /// resolved count exceeds 1 *or* shard_count exceeds 1; a single-shard
-  /// single-worker broker never spawns threads (the seed publish path).
-  /// More workers than shards is meaningful: workers share one shard's
-  /// engine as concurrent readers, each with its own match context.
+  /// Workers matching published batches, the publishing thread included:
+  /// it is worker 0, so n workers spawn n-1 helper threads and one worker
+  /// matches inline on the publisher. 0 picks
+  /// min(shard_count, hardware_concurrency). More workers than shards is
+  /// meaningful: workers share one shard's engine as concurrent readers,
+  /// each with its own match context.
   std::size_t worker_threads = 0;
   /// Subscription placement (broker/shard_router.h). kSubscriberAffine
   /// colocates a subscriber's portfolio on one shard — deliberate skew,
@@ -290,12 +290,10 @@ class ShardedBroker {
   }
 
   /// Block until every shard has applied all control commands issued at or
-  /// before `generation`. Multi-shard (or multi-worker) brokers run a
-  /// dedicated apply thread, so this is self-driving: queued commands apply
-  /// concurrently with any in-flight batch and the wait is bounded by the
-  /// grace period of the chunks in flight, not by batch size. Only on a
-  /// seed broker (one shard, one worker, no threads) is it passive — some
-  /// thread must drive batches (or quiesce) forward, as before.
+  /// before `generation`. Self-driving: the match tasks of an in-flight
+  /// batch apply queued commands at their chunk boundaries and the apply
+  /// thread covers everything else, so the wait is bounded by one chunk,
+  /// not by batch size, and needs no further publish.
   void wait_applied(std::uint64_t generation);
 
   /// Full control-plane barrier: waits for the in-flight batch (deliveries
@@ -401,12 +399,13 @@ class ShardedBroker {
   };
 
   /// One engine shard: exclusive table + engine + its command queue.
-  /// `mutex` serialises *mutators* — control-command application, drains,
-  /// bulk loads, snapshots hold it exclusive; metrics sampling and memory
-  /// accounting take it shared. Match workers take no lock: they read the
-  /// engine (and to_global/owner_of) inside an epoch-pinned EngineView on
-  /// `epochs`, and every mutator additionally closes that domain's write
-  /// gate (via ShardWriteGuard) around the actual mutation.
+  /// `mutex` serialises *mutators* — control-command application, drains
+  /// (match tasks' chunk-boundary drains too), bulk loads, snapshots hold
+  /// it exclusive; metrics sampling and memory accounting take it shared.
+  /// Match workers take no lock: they read the engine (and
+  /// to_global/owner_of) inside an epoch-pinned EngineView on `epochs`,
+  /// and every mutator additionally closes that domain's write gate (via
+  /// ShardWriteGuard) around the actual mutation.
   struct Shard {
     PredicateTable table;
     std::unique_ptr<FilterEngine> engine;
@@ -423,12 +422,13 @@ class ShardedBroker {
     std::atomic<std::uint64_t> queued_commands{0};
     GenerationFence fence;
     std::shared_mutex mutex;
+    /// ncps_epoch_grace_wait_seconds{shard}; null when metrics are off.
+    obs::Histogram* grace_wait = nullptr;
     /// Epoch read-gate + deferred reclamation over this shard's
     /// reader-visible state (engine structures, to_global/owner_of). One
-    /// reader slot per pool worker; null for seed brokers (no pool — the
-    /// publish path is sequential and exclusive anyway). Declared last so
-    /// its destructor — which runs every deferred deleter — executes while
-    /// the engine, forest and table those deleters touch are still alive.
+    /// reader slot per pool worker. Declared last so its destructor — which
+    /// runs every deferred deleter — executes while the engine, forest and
+    /// table those deleters touch are still alive.
     std::unique_ptr<EpochDomain> epochs;
   };
 
@@ -477,13 +477,14 @@ class ShardedBroker {
   /// Write-side section over one shard's reader-visible state. The caller
   /// already holds shard.mutex (exclusive against other mutators); enter()
   /// additionally closes the shard's epoch gate — blocking new match
-  /// readers and waiting out pinned ones, a wait bounded by one in-flight
-  /// chunk — and installs the domain as the thread's reclamation target so
-  /// engine-internal free sites defer instead of deleting. Lazy: a drain
-  /// that finds nothing queued never calls enter() and never pays a grace
-  /// period. A no-op throughout on shards without a domain (seed broker).
-  /// Destruction reopens the gate and reclaims what the grace period
-  /// proved unreachable.
+  /// readers and waiting out pinned ones (mid-batch the writer is a match
+  /// task, so only other workers' chunks of the shard) — and installs the
+  /// domain as the thread's reclamation target so engine-internal free
+  /// sites defer instead of deleting. The wait is recorded once per section
+  /// in ncps_epoch_grace_wait_seconds. Lazy: a drain that finds nothing
+  /// queued never calls enter() and never pays a grace period. Destruction
+  /// reopens the gate and reclaims what the grace period proved
+  /// unreachable.
   class ShardWriteGuard {
    public:
     explicit ShardWriteGuard(Shard& shard) : shard_(&shard) {}
@@ -498,8 +499,14 @@ class ShardedBroker {
 
     /// Idempotent. Call immediately before the first actual mutation.
     void enter() {
-      if (entered_ || shard_->epochs == nullptr) return;
+      if (entered_) return;
+      obs::Histogram* const wait = shard_->grace_wait;
+      const std::uint64_t start = wait == nullptr ? 0 : obs::now_ticks();
       shard_->epochs->writer_enter();
+      if (wait != nullptr) {
+        const std::uint64_t now = obs::now_ticks();
+        wait->record(now > start ? now - start : 0);
+      }
       scope_.emplace(*shard_->epochs);
       entered_ = true;
     }
@@ -510,10 +517,9 @@ class ShardedBroker {
     bool entered_ = false;
   };
 
-  /// Per-shard match-work totals fed by concurrent match tasks (relaxed
-  /// fetch_adds, once per task — never per event). metrics() sums these
-  /// with the engine's own cumulative_stats(), which only the legacy
-  /// single-threaded publish path grows; the two sources are disjoint.
+  /// Per-shard match-work totals fed by the match tasks (relaxed
+  /// fetch_adds, once per task — never per event); the source of the
+  /// ncps_match_*_total counters in metrics().
   struct AtomicMatchStats {
     std::atomic<std::uint64_t> events{0};
     std::atomic<std::uint64_t> fulfilled_predicates{0};
@@ -580,6 +586,14 @@ class ShardedBroker {
   /// lazily before the first command applies, so an empty drain is just a
   /// fence advance. Returns the number of commands applied.
   std::size_t drain_shard(Shard& shard, ShardWriteGuard& gate);
+  /// True, with shard.mutex held, when a control call may apply inline: no
+  /// batch is matching and no other mutator holds the shard.
+  bool lock_idle_shard(Shard& shard,
+                       std::unique_lock<std::shared_mutex>& lock);
+  /// Push `command`, publish its generation, kick the apply thread. Caller
+  /// holds control_mutex_.
+  void enqueue_command(Shard& shard, ShardCommand&& command,
+                       std::uint64_t generation, std::uint64_t issue_tick);
   void apply_command(Shard& shard, ShardCommand&& command);
   /// Record issue tick → applied into ncps_control_apply_latency_seconds
   /// (no-op when metrics are off / the tick is 0). Called for queued
@@ -593,12 +607,13 @@ class ShardedBroker {
   void apply_unsubscribe(Shard& shard, SubscriptionId global);
   SubscriberId register_subscriber_impl(NotifyFn callback,
                                         BackpressurePolicy policy);
-  /// Phases A+B of the publish path: exclusive per-shard drains, then the
-  /// (shard × chunk) match fan-out into match_buffers_ — on the
-  /// work-stealing pool when one exists, sequentially otherwise (the seed
-  /// single-shard path, which uses the engine's legacy match_batch so its
-  /// last/cumulative stats keep their single-threaded semantics).
+  /// Phases A+B of the publish path (matching_ raised): exclusive per-shard
+  /// drains, then the (shard × chunk) match fan-out into match_buffers_,
+  /// each task draining its shard's control queue after its chunk.
   void run_match_tasks(std::span<const Event> events);
+  /// Set matching_ under apply_cv_mutex_; lowering it delivers a kick that
+  /// arrived meanwhile.
+  void set_matching(bool on);
   /// Phase C part 1: merge match_buffers_ into merged_ / event_offsets_ —
   /// per event, ascending global subscription id. The per-event-range merge
   /// tasks run on the pool (an event is merged by exactly one task, into
@@ -617,8 +632,8 @@ class ShardedBroker {
   ShardRouter router_;
   BackpressurePolicy delivery_default_policy_ = BackpressurePolicy::Block;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Match scheduler pool; null only for single-shard single-worker brokers
-  /// (the seed sequential publish path).
+  /// Match scheduler pool. The publishing thread is its worker 0, so a
+  /// one-worker pool owns no thread.
   std::unique_ptr<WorkStealingPool> pool_;
   MatchScheduler scheduler_ = MatchScheduler::kWorkStealing;
   std::size_t match_chunk_events_ = 0;  // config knob; 0 = adaptive
@@ -679,27 +694,27 @@ class ShardedBroker {
   /// the control plane, loaded once per batch by the publisher.
   std::atomic<std::shared_ptr<const CallbackMap>> callbacks_;
 
-  // ---- apply thread (pool brokers only; see apply_loop in the .cpp) ----
-  /// Drains every shard whenever a control command is queued, concurrently
-  /// with match tasks: this is what decouples control-op apply latency from
-  /// batch size. Joined first in the destructor; never started for seed
-  /// brokers, whose commands always apply inline.
+  /// Set from a batch's start-of-batch drain until its match tasks finish.
+  /// Meanwhile control ops queue and the match tasks apply them at chunk
+  /// boundaries; the apply thread stays off the shards.
+  std::atomic<bool> matching_{false};
+
+  // ---- apply thread (see apply_loop in the .cpp) ----
+  /// Drains every shard when kicked and no batch is matching. Joined first
+  /// in the destructor.
   std::thread apply_thread_;
   std::mutex apply_cv_mutex_;
   std::condition_variable apply_cv_;
   bool apply_stop_ = false;  // guarded by apply_cv_mutex_
   /// Level-triggered wake request, guarded by apply_cv_mutex_. Set by
-  /// signal_apply(), cleared by the apply loop before each drain pass.
-  /// Needed beyond apply_pending() because wait_applied() kicks the loop to
-  /// advance *idle* shards' fences past an inline-applied generation — a
-  /// state with nothing queued anywhere.
+  /// signal_apply() after every push (and by wait_applied(), to advance
+  /// *idle* shards' fences past an inline-applied generation), cleared by
+  /// the apply loop before each drain pass.
   bool apply_kick_ = false;
   void apply_loop();
-  /// Request one apply-loop drain pass (no-op without an apply thread):
-  /// after pushing a command, and from wait_applied() so passive fences
-  /// catch up without a publish.
+  /// Request one apply-loop drain pass: after pushing a command, and from
+  /// wait_applied() so fences catch up without a publish.
   void signal_apply();
-  [[nodiscard]] bool apply_pending() const;
 
   // ---- per-batch data-plane state (touched only under publish_mutex_,
   //      plus by that batch's own match/merge tasks) ----

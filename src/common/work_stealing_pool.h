@@ -19,9 +19,11 @@
 //
 // One run_tasks() executes at a time (the broker's publish path is already
 // serialised by its publish mutex; a second concurrent caller would be a
-// bug, and is asserted against). The calling thread only coordinates — the
-// pool sizes itself to the hardware, and having the caller compete for
-// tasks would add a third scheduling regime for no measured benefit.
+// bug, and is asserted against). The calling thread is worker 0: a pool of
+// n workers spawns n-1 helper threads, and run_tasks() drains worker 0's
+// deque on the caller before joining the helpers. A one-worker pool
+// therefore spawns no thread and runs every task inline on the caller,
+// with no hand-off.
 // Exceptions thrown by tasks are captured and rethrown on the joining
 // thread (first one wins); remaining tasks still run, and the pool stays
 // usable afterwards.
@@ -67,7 +69,8 @@ class WorkStealingPool {
     std::size_t queued = 0;
   };
 
-  /// Spawns exactly `threads` workers (at least one).
+  /// `threads` workers (at least one): the run_tasks() caller is worker 0,
+  /// so exactly threads-1 helper threads are spawned.
   explicit WorkStealingPool(std::size_t threads)
       : start_time_(std::chrono::steady_clock::now()) {
     if (threads == 0) threads = 1;
@@ -75,9 +78,9 @@ class WorkStealingPool {
     for (std::size_t i = 0; i < threads; ++i) {
       slots_.push_back(std::make_unique<WorkerSlot>());
     }
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
+    helpers_.reserve(threads - 1);
+    for (std::size_t i = 1; i < threads; ++i) {
+      helpers_.emplace_back([this, i] { worker_loop(i); });
     }
   }
 
@@ -87,7 +90,7 @@ class WorkStealingPool {
       stopping_ = true;
     }
     work_available_.notify_all();
-    for (std::thread& worker : workers_) worker.join();
+    for (std::thread& helper : helpers_) helper.join();
   }
 
   WorkStealingPool(const WorkStealingPool&) = delete;
@@ -106,7 +109,7 @@ class WorkStealingPool {
     const std::uint64_t tasks_before = total_tasks();
     const std::uint64_t steals_before = total_steals();
 
-    // Deal contiguous slices. Workers are parked (run_tasks is serialised
+    // Deal contiguous slices. Helpers are parked (run_tasks is serialised
     // and joins before returning), so the deques are ours alone here.
     const std::size_t workers = slots_.size();
     const std::size_t per = (count + workers - 1) / workers;
@@ -134,6 +137,9 @@ class WorkStealingPool {
     }
     work_available_.notify_all();
 
+    // The caller works its own slice (and steals) as worker 0, then joins
+    // whatever the helpers still have in flight.
+    drain(0);
     std::unique_lock<std::mutex> lock(control_mutex_);
     all_done_.wait(lock, [this] {
       return remaining_.load(std::memory_order_relaxed) == 0 &&
@@ -151,7 +157,8 @@ class WorkStealingPool {
     return stats;
   }
 
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
+  /// Workers, the calling thread included (helper threads + 1).
+  [[nodiscard]] std::size_t thread_count() const { return slots_.size(); }
 
   /// Telemetry sample per worker. busy_ns is cumulative execution time (the
   /// whole drain loop, steal scans included — that *is* busy time); divide
@@ -294,14 +301,14 @@ class WorkStealingPool {
     }
   }
 
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<WorkerSlot>> slots_;  // [0] = the caller
+  std::vector<std::thread> helpers_;                // workers 1 .. n-1
 
   std::mutex control_mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
   std::uint64_t generation_ = 0;     // bumps per run_tasks; wakes workers
-  std::size_t active_workers_ = 0;   // workers inside drain()
+  std::size_t active_workers_ = 0;   // helpers inside drain()
   std::atomic<std::size_t> remaining_{0};
   bool stopping_ = false;
   std::exception_ptr first_error_;

@@ -74,21 +74,4 @@ void FilterEngine::match(const Event& event,
   match_predicates(ctx.fulfilled, 0, event, sink);
 }
 
-void FilterEngine::match_batch(std::span<const Event> events,
-                               MatchSink& sink) {
-  MatchContext& ctx = default_context();
-  ctx.fulfilled.clear();
-  ctx.offsets.clear();
-  index_.match_batch(events, *table_, ctx.fulfilled, ctx.offsets);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const std::span<const PredicateId> fulfilled(
-        ctx.fulfilled.data() + ctx.offsets[i],
-        ctx.offsets[i + 1] - ctx.offsets[i]);
-    // Route through the legacy per-event wrapper so last_stats() stays
-    // per-event and cumulative_stats() grows — metrics() on the
-    // single-threaded path reads engine cumulative totals only.
-    match_predicates(fulfilled, i, events[i], sink);
-  }
-}
-
 }  // namespace ncps

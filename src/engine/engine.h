@@ -12,10 +12,10 @@
 // the figure benchmarks reproduce the paper's methodology (fulfilled counts
 // of 5 000/10 000 are workload parameters there, not event outcomes).
 //
-// match_batch(events, sink) is the batch-oriented entry point the sharded
-// broker drives: phase 1 runs once over the whole batch (index lookups and
-// scratch buffers amortise across events) and phase-2 results stream into a
-// MatchSink instead of accumulating in one vector.
+// match_range(events, first, last, sink, ctx) is the batch-oriented entry
+// point the sharded broker drives: phase 1 runs once over the event range
+// (index lookups and scratch buffers amortise across events) and phase-2
+// results stream into a MatchSink instead of accumulating in one vector.
 //
 // Engines own their predicate references: add() takes one PredicateTable
 // reference per unique predicate stored, remove() releases them, and index
@@ -67,10 +67,11 @@ class Writer;
 class Reader;
 }  // namespace storage
 
-/// Phase-2 work counters. Two instances live in every engine: `last_stats()`
-/// covers exactly the most recent match_predicates call (reset by the base
-/// class before each dispatch), while `cumulative_stats()` accumulates
-/// forever — that one feeds the telemetry plane's per-shard match counters.
+/// Phase-2 work counters. Every MatchContext carries one (the sharded
+/// broker folds each task's into the per-shard ncps_match_*_total
+/// counters). Two more live in every engine for the legacy non-const entry
+/// points: `last_stats()` covers exactly the most recent call, while
+/// `cumulative_stats()` accumulates across them.
 struct MatchStats {
   std::uint64_t events = 0;               ///< phase-2 invocations folded in
   std::uint64_t fulfilled_predicates = 0; ///< phase-1 candidates handed to phase 2
@@ -228,11 +229,6 @@ class FilterEngine {
   /// Full pipeline: phase 1 through this engine's index, then phase 2.
   void match(const Event& event, std::vector<SubscriptionId>& out);
 
-  /// Batched full pipeline: phase 1 once over the whole batch (one index
-  /// traversal, shared fulfilled-set buffers), then phase 2 per event with
-  /// results streamed into `sink`. Single-threaded (default-context) form.
-  virtual void match_batch(std::span<const Event> events, MatchSink& sink);
-
   /// Enter bulk-load mode: until finish_bulk_load(), predicates newly
   /// acquired by add() are NOT registered with the phase-1 index one by one;
   /// they are queued and handed to PredicateIndex::bulk_load in one batch.
@@ -272,13 +268,13 @@ class FilterEngine {
   /// now reset by the base-class wrapper instead of each engine) for the
   /// benchmarks, and is apply-side state: only the legacy non-const entry
   /// points grow it, never the epoch-pinned EngineView path the sharded
-  /// broker matches through. Anything observability-shaped should use
-  /// cumulative_stats(), which only grows and is sampled per shard (under
-  /// the shard mutex, which still excludes mutation from sampling) by
-  /// ShardedBroker::metrics() into ncps_match_* counters.
+  /// broker matches through — so neither it nor cumulative_stats() moves
+  /// when a broker publishes. Broker match work is read from the
+  /// ncps_match_*_total counters of ShardedBroker::metrics() instead.
   [[nodiscard]] const MatchStats& last_stats() const { return stats_; }
 
-  /// Totals over every match_predicates call since construction.
+  /// Totals over every legacy (non-const) match_predicates call since
+  /// construction; broker publishes do not reach it.
   [[nodiscard]] const MatchStats& cumulative_stats() const {
     return cumulative_stats_;
   }
@@ -364,7 +360,7 @@ class FilterEngine {
   virtual void on_epoch_domain_changed(EpochDomain* domain) { (void)domain; }
 
   /// The engine-owned context backing the legacy single-threaded entry
-  /// points (match, match_batch, non-const match_predicates). Lazily built
+  /// points (match, non-const match_predicates). Lazily built
   /// via make_context() — it cannot exist before the derived class does.
   [[nodiscard]] MatchContext& default_context() {
     if (!default_context_) default_context_ = make_context();
@@ -448,21 +444,16 @@ class FilterEngine {
 /// taken is retired — not freed — until the pin drops. Only the const,
 /// context-taking entry points are exposed; the legacy mutable-stats
 /// overloads stay off the concurrent path by construction.
-///
-/// With no domain (standalone engines, the seed broker) the view is a
-/// zero-cost pass-through — same call shape, no pin.
 class EngineView {
  public:
   /// `slot` identifies the reader (one live view per slot at a time); the
   /// broker uses the pool worker id.
-  EngineView(const FilterEngine& engine, EpochDomain* domain,
+  EngineView(const FilterEngine& engine, EpochDomain& domain,
              std::size_t slot)
-      : engine_(&engine), domain_(domain), slot_(slot) {
-    if (domain_ != nullptr) domain_->reader_enter(slot_);
+      : engine_(&engine), domain_(&domain), slot_(slot) {
+    domain_->reader_enter(slot_);
   }
-  ~EngineView() {
-    if (domain_ != nullptr) domain_->reader_exit(slot_);
-  }
+  ~EngineView() { domain_->reader_exit(slot_); }
   EngineView(const EngineView&) = delete;
   EngineView& operator=(const EngineView&) = delete;
 

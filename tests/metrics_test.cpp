@@ -317,25 +317,32 @@ TEST(BrokerMetricsTest, RuntimeGateDropsHotCellsButKeepsSampledRows) {
 }
 
 TEST(BrokerMetricsTest, MatchStatsAccumulateAcrossPublishes) {
-  // Cumulative per-shard stats work in every build mode: they are plain
-  // integers sampled under the shard mutex, not registry cells.
+  // Per-shard match stats work in every build mode: they are sampled from
+  // the broker's own per-shard totals, not registry cells. Per-publish
+  // numbers are deltas between two snapshots.
   AttributeRegistry attrs;
   Broker broker(attrs);
   const SubscriberId alice =
       broker.register_subscriber([](const Notification&) {});
   broker.subscribe(alice, "x > 10");
   const Event hit = EventBuilder(attrs).set("x", 50).build();
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(broker.publish(hit), 1u);
-
-  // last_stats() keeps the seed's per-call semantics...
-  EXPECT_EQ(broker.engine().last_stats().events, 1u);
-  EXPECT_EQ(broker.engine().last_stats().matches, 1u);
-  // ...while cumulative_stats() folds every call since construction.
-  EXPECT_EQ(broker.engine().cumulative_stats().events, 3u);
-  EXPECT_EQ(broker.engine().cumulative_stats().matches, 3u);
-  const MetricsSnapshot snap = broker.metrics();
-  EXPECT_EQ(snap.counter_total("ncps_match_events_total"), 3u);
-  EXPECT_EQ(snap.counter_total("ncps_match_matches_total"), 3u);
+  std::uint64_t events_before = 0;
+  std::uint64_t matches_before = 0;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(broker.publish(hit), 1u);
+    const MetricsSnapshot snap = broker.metrics();
+    const std::uint64_t events = snap.counter_total("ncps_match_events_total");
+    const std::uint64_t matches =
+        snap.counter_total("ncps_match_matches_total");
+    // One event and one match per publish...
+    EXPECT_EQ(events - events_before, 1u);
+    EXPECT_EQ(matches - matches_before, 1u);
+    events_before = events;
+    matches_before = matches;
+  }
+  // ...and the totals fold every publish since construction.
+  EXPECT_EQ(events_before, 3u);
+  EXPECT_EQ(matches_before, 3u);
 }
 
 // Differential check across engines × shard counts × delivery modes: the

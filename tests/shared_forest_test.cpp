@@ -337,7 +337,7 @@ TEST_F(SharedForestTest, ValidateLimitsRejectsOversizedTrees) {
 // makes the engine release a root into quarantine and re-intern the same
 // structure on the next add — the exact window where a recycled node slot
 // could leak truth across the removal fence. A publisher hammers
-// match_batch the whole time (run this under TSan: the CI concurrency job
+// publish_batch the whole time (run this under TSan: the CI concurrency job
 // includes this binary); the assertions check that a fenced subscription
 // id is never notified after its removal generation has applied, at every
 // normalisation level.

@@ -60,6 +60,30 @@ TEST(WorkStealingPoolTest, RunsEveryIndexExactlyOnceAndIsReusable) {
   EXPECT_EQ(pool.run_tasks(0, [](std::size_t, std::size_t) {}).tasks, 0u);
 }
 
+TEST(WorkStealingPoolTest, CallerIsWorkerZero) {
+  // A one-worker pool owns no thread: every task runs inline on the caller.
+  WorkStealingPool solo(1);
+  EXPECT_EQ(solo.thread_count(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t ran = 0;
+  solo.run_tasks(16, [&](std::size_t, std::size_t worker) {
+    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++ran;
+  });
+  EXPECT_EQ(ran, 16u);
+
+  // In a wider pool, worker 0 is still the caller.
+  WorkStealingPool pool(3);
+  std::atomic<bool> worker0_elsewhere{false};
+  pool.run_tasks(64, [&](std::size_t, std::size_t worker) {
+    if (worker == 0 && std::this_thread::get_id() != caller) {
+      worker0_elsewhere.store(true, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_FALSE(worker0_elsewhere.load());
+}
+
 TEST(WorkStealingPoolTest, PropagatesTaskExceptionAndStaysUsable) {
   WorkStealingPool pool(3);
   std::atomic<std::size_t> ran{0};
@@ -316,7 +340,7 @@ TEST(WorkStealingChurnTest, BatchedChurnStaysInLockstep) {
     ChurnWorkload workload(config, attrs);
 
     const SchedulerConfig configs[] = {
-        {.shards = 1, .workers = 1},  // seed path, no pool
+        {.shards = 1, .workers = 1},  // the publisher matches inline
         {.shards = 1, .workers = 4},
         {.shards = 4, .workers = 4, .chunk = 1},
         {.shards = 4, .workers = 4, .scheduler = MatchScheduler::kPerShard},
