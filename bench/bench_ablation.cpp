@@ -215,11 +215,12 @@ void sharing_study() {
     const std::vector<PredicateId> fulfilled = workload.sample_fulfilled(
         std::min<std::size_t>(2000, workload.predicate_pool().size()));
 
-    const auto run = [&](const char* engine_name, FilterEngine& engine) {
+    const auto run = [&](const char* engine_name, const FilterEngine& engine) {
+      const auto ctx = engine.make_context();
       std::vector<SubscriptionId> out;
       const double seconds = time_seconds([&] {
         out.clear();
-        engine.match_predicates(fulfilled, out);
+        match_fulfilled(engine, fulfilled, *ctx, out);
       });
       std::printf("phase2_sharing,%d%%,%s,%.3e s/event,%zu matches\n",
                   sharing_pct, engine_name, seconds, out.size());

@@ -37,6 +37,9 @@ int main() {
                                 32000, 64000, 128000, 256000};
   std::size_t registered = 0;
   std::vector<SubscriptionId> out;
+  const auto tree_ctx = engines.non_canonical.make_context();
+  const auto variant_ctx = engines.counting_variant.make_context();
+  const auto counting_ctx = engines.counting.make_context();
   std::size_t crossover_n = 0;
   bool counting_was_fastest = false;
 
@@ -54,15 +57,15 @@ int main() {
 
     const double nc = time_seconds([&] {
       out.clear();
-      engines.non_canonical.match_predicates(fulfilled, out);
+      match_fulfilled(engines.non_canonical, fulfilled, *tree_ctx, out);
     });
     const double var = time_seconds([&] {
       out.clear();
-      engines.counting_variant.match_predicates(fulfilled, out);
+      match_fulfilled(engines.counting_variant, fulfilled, *variant_ctx, out);
     });
     const double cnt = time_seconds([&] {
       out.clear();
-      engines.counting.match_predicates(fulfilled, out);
+      match_fulfilled(engines.counting, fulfilled, *counting_ctx, out);
     });
 
     const char* fastest = "non-canonical";

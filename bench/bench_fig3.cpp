@@ -54,6 +54,9 @@ std::vector<PanelResult> run_panel(char label, std::size_t predicates,
   std::vector<PanelResult> results;
   std::size_t registered = 0;
   std::vector<SubscriptionId> out;
+  const auto tree_ctx = engines.non_canonical.make_context();
+  const auto variant_ctx = engines.counting_variant.make_context();
+  const auto counting_ctx = engines.counting.make_context();
   for (const std::size_t n : sweep_points(predicates, scale)) {
     // Grow the registered population incrementally to the next sweep point.
     while (registered < n) {
@@ -68,15 +71,15 @@ std::vector<PanelResult> run_panel(char label, std::size_t predicates,
     r.n = n;
     r.non_canonical = time_seconds([&] {
       out.clear();
-      engines.non_canonical.match_predicates(fulfilled, out);
+      match_fulfilled(engines.non_canonical, fulfilled, *tree_ctx, out);
     });
     r.counting_variant = time_seconds([&] {
       out.clear();
-      engines.counting_variant.match_predicates(fulfilled, out);
+      match_fulfilled(engines.counting_variant, fulfilled, *variant_ctx, out);
     });
     r.counting = time_seconds([&] {
       out.clear();
-      engines.counting.match_predicates(fulfilled, out);
+      match_fulfilled(engines.counting, fulfilled, *counting_ctx, out);
     });
     results.push_back(r);
     std::printf("%zu,%.6e,%.6e,%.6e\n", r.n, r.non_canonical,

@@ -1,6 +1,6 @@
 // Phase-1 index microbenchmarks for the PR 6 overhaul: dictionary-encoded
 // values, compressed posting lists with galloping intersection, and the
-// parallel bulk build.
+// bulk build.
 //
 // Four measurement groups, each emitting JsonRows:
 //   phase1_stab      — events/sec through PredicateIndex::match vs a naive
@@ -12,8 +12,11 @@
 //                      vector-per-list baseline (target ratio <= 0.6).
 //   phase1_intersect — PostingList::intersect_into vs concatenate-then-filter
 //                      for candidate pruning against sorted query sets.
-//   phase1_bulk_load — attribute-partitioned bulk_load on a thread pool vs
-//                      sequential bulk_load vs an add() loop.
+//   phase1_bulk_load — attribute-partitioned bulk_load vs an add() loop.
+//                      The build is sequential (a parallel one measured no
+//                      faster); `parallel_seconds` repeats the sequential
+//                      time so the row schema stays stable until the column
+//                      and bulk_load's unused pool argument go together.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -23,7 +26,6 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "index/predicate_index.h"
 
 namespace {
@@ -389,7 +391,6 @@ void bench_intersect(Scale scale) {
 void bench_bulk_load(Scale scale) {
   const std::size_t n = scale == Scale::kQuick ? 200000 : 1000000;
   constexpr std::size_t kAttributes = 32;
-  constexpr std::size_t kThreads = 8;
   Population pop(n, kAttributes, 1000000, 0xb17e);
 
   std::vector<PredicateIndex::BulkEntry> entries;
@@ -410,25 +411,16 @@ void bench_bulk_load(Scale scale) {
         index.bulk_load(entries, nullptr);
       },
       3);
-  ThreadPool pool(kThreads);
-  const double parallel_s = time_seconds(
-      [&] {
-        PredicateIndex index;
-        index.bulk_load(entries, &pool);
-      },
-      3);
-
-  const double speedup = sequential_s / parallel_s;
-  std::printf("bulk_load n=%zu: add-loop %.3fs, sequential %.3fs, parallel "
-              "(%zu threads) %.3fs — %.2fx vs sequential\n",
-              n, add_loop_s, sequential_s, kThreads, parallel_s, speedup);
+  std::printf("bulk_load n=%zu: add-loop %.3fs, bulk %.3fs — %.2fx vs the "
+              "add-loop\n",
+              n, add_loop_s, sequential_s, add_loop_s / sequential_s);
   JsonRow("phase1_bulk_load")
       .field("predicates", n)
-      .field("threads", kThreads)
+      .field("threads", std::size_t{1})
       .field("add_loop_seconds", add_loop_s)
       .field("sequential_seconds", sequential_s)
-      .field("parallel_seconds", parallel_s)
-      .field("speedup", speedup)
+      .field("parallel_seconds", sequential_s)
+      .field("speedup", 1.0)
       .emit();
 }
 

@@ -6,14 +6,15 @@
 // three-axis sweep:
 //
 //   shards     1, 2, 4, 8 engine shards;
-//   scheduler  kWorkStealing (the (shard × chunk) default) versus kPerShard
-//              (one task per shard — the pre-work-stealing design, kept as
-//              the baseline that quantifies what stealing buys);
+//   scheduler  "work-stealing" (the adaptive (shard × chunk) default)
+//              versus "per-shard" (match_chunk_events pinned past the batch
+//              size: one task per shard — the pre-work-stealing design,
+//              kept as the baseline that quantifies what stealing buys);
 //   scenario   "uniform" spreads subscriptions evenly (kSpread placement,
 //              balanced subscriber population) while "skewed" gives one
 //              heavy subscriber most of the population under
 //              kSubscriberAffine placement, concentrating its whole
-//              portfolio on one hot shard. Under kPerShard that shard is
+//              portfolio on one hot shard. Under per-shard that shard is
 //              the batch's critical path; under work stealing idle workers
 //              take its chunks, which is the effect this bench measures.
 //
@@ -77,6 +78,18 @@ constexpr Scenario kScenarios[] = {
     {"skewed", ShardPlacement::kSubscriberAffine, 0.75, 8},
 };
 
+/// One scheduling regime, set through ShardedBrokerConfig::match_chunk_events.
+struct Scheduler {
+  const char* name;
+  std::size_t chunk_events;  // 0 = adaptive chunks
+};
+
+/// Per-shard first: the work-stealing row's speedup_vs_per_shard needs it.
+constexpr Scheduler kSchedulers[] = {
+    {"per-shard", SIZE_MAX},  // chunks never smaller than the batch
+    {"work-stealing", 0},
+};
+
 /// Discards notifications; delivery cost stays in the measurement, callback
 /// work stays out of it.
 std::size_t g_notifications = 0;
@@ -90,14 +103,15 @@ struct RunResult {
 
 RunResult run_once(AttributeRegistry& attrs, EngineKind kind,
                    const Scenario& scenario, std::size_t shards,
-                   MatchScheduler scheduler,
+                   const Scheduler& scheduler,
                    const std::vector<std::string>& texts,
                    const std::vector<Event>& events, std::size_t batch_size) {
   ShardedBroker broker(attrs, ShardedBrokerConfig{.shard_count = shards,
                                                   .engine = kind,
                                                   .placement =
                                                       scenario.placement,
-                                                  .scheduler = scheduler});
+                                                  .match_chunk_events =
+                                                      scheduler.chunk_events});
   std::vector<SubscriberId> consumers;
   for (std::size_t i = 0; i < scenario.subscriber_count; ++i) {
     consumers.push_back(broker.register_subscriber(
@@ -135,11 +149,6 @@ RunResult run_once(AttributeRegistry& attrs, EngineKind kind,
   result.steals = after.counter_total("ncps_steals_total") -
                   before.counter_total("ncps_steals_total");
   return result;
-}
-
-const char* to_string(MatchScheduler scheduler) {
-  return scheduler == MatchScheduler::kWorkStealing ? "work-stealing"
-                                                    : "per-shard";
 }
 
 }  // namespace
@@ -200,20 +209,19 @@ int main() {
       std::size_t best_steal_shards = 1;
       for (const std::size_t shards : config.shard_counts) {
         double per_shard_seconds = 0;
-        for (const MatchScheduler scheduler :
-             {MatchScheduler::kPerShard, MatchScheduler::kWorkStealing}) {
+        for (const Scheduler& scheduler : kSchedulers) {
           const RunResult r =
               run_once(attrs, kind, scenario, shards, scheduler, texts,
                        events, config.batch_size);
           const double events_per_sec = total_events / r.seconds;
-          const bool stealing = scheduler == MatchScheduler::kWorkStealing;
+          const bool stealing = scheduler.chunk_events == 0;
           if (!stealing) per_shard_seconds = r.seconds;
           if (stealing && shards == 1) stealing_baseline = r.seconds;
 
           JsonRow("sharded_publish")
               .field("scenario", scenario.name)
               .field("engine", ncps::to_string(kind))
-              .field("scheduler", to_string(scheduler))
+              .field("scheduler", scheduler.name)
               .field("shards", shards)
               .field("subscriptions", config.subscriptions)
               .field("batch_size", config.batch_size)

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -84,6 +85,18 @@ double time_seconds(Fn&& fn, int repetitions = 5) {
     if (s < best) best = s;
   }
   return best;
+}
+
+/// Phase 2 of one engine over an externally chosen fulfilled set (the
+/// paper's §4 methodology), through a caller-owned context reused across
+/// calls; matches are appended to `out`.
+inline void match_fulfilled(const FilterEngine& engine,
+                            std::span<const PredicateId> fulfilled,
+                            MatchContext& ctx,
+                            std::vector<SubscriptionId>& out) {
+  VectorSink sink(out);
+  const Event no_event;  // phase-2-only callers carry no event context
+  engine.match_predicates(fulfilled, 0, no_event, sink, ctx);
 }
 
 /// Run-wide metadata stamped on every JSON row, so a scraped row is

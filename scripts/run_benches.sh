@@ -9,6 +9,11 @@
 # an empty BENCH_*.json therefore means the bench silently regressed, and
 # the script fails on it.
 #
+# Every row must be stamped with this run's NCPS_GIT_SHA and with the
+# machine's online CPU count as hw_threads (what JsonRow reads through
+# std::thread::hardware_concurrency); a row stamped otherwise did not come
+# from this commit on this machine, and the script fails on it.
+#
 # Usage: scripts/run_benches.sh [build-dir]   (default: build)
 # Environment: REPRO_SCALE is forced to quick unless already set;
 # NCPS_GIT_SHA is derived from git when absent so every row is stamped.
@@ -28,7 +33,13 @@ if [ -z "${NCPS_GIT_SHA:-}" ]; then
   export NCPS_GIT_SHA
 fi
 
-echo "# run_benches: scale=$REPRO_SCALE sha=$NCPS_GIT_SHA build=$build_dir"
+if ! online_cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null)" ||
+   [ -z "$online_cpus" ]; then
+  echo "error: getconf _NPROCESSORS_ONLN failed; the hw_threads check needs the online CPU count" >&2
+  exit 1
+fi
+
+echo "# run_benches: scale=$REPRO_SCALE sha=$NCPS_GIT_SHA hw_threads=$online_cpus build=$build_dir"
 
 status=0
 found=0
@@ -50,6 +61,17 @@ for bench in "$build_dir"/bench_*; do
   echo "   -> $out_json ($rows rows)"
   if [ "$rows" -eq 0 ]; then
     echo "   error: $name emitted no JSON rows" >&2
+    status=1
+  fi
+  # Provenance guard: rows from another commit or another machine.
+  foreign_sha="$(grep -cvF "\"git_sha\":\"$NCPS_GIT_SHA\"" "$out_json" || true)"
+  if [ "$foreign_sha" -ne 0 ]; then
+    echo "   error: $name emitted $foreign_sha rows whose git_sha is not $NCPS_GIT_SHA" >&2
+    status=1
+  fi
+  foreign_hw="$(grep -cvE "\"hw_threads\":$online_cpus[,}]" "$out_json" || true)"
+  if [ "$foreign_hw" -ne 0 ]; then
+    echo "   error: $name emitted $foreign_hw rows whose hw_threads is not $online_cpus" >&2
     status=1
   fi
   rm -f "$log"

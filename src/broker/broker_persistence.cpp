@@ -242,15 +242,6 @@ void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
     ++live_per_shard[shard];
   }
 
-  // Recovery-time build pool: engine state loads and bulk index builds take
-  // a generic ThreadPool (the match scheduler's work-stealing pool is not
-  // one). Constructor tail, so a temporary sized to the match pool is fine;
-  // a one-worker broker builds sequentially.
-  std::unique_ptr<ThreadPool> build_pool;
-  if (pool_->thread_count() > 1) {
-    build_pool = std::make_unique<ThreadPool>(pool_->thread_count());
-  }
-
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     const std::uint8_t tag = r.u8();
@@ -259,7 +250,7 @@ void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
         throw StorageError(
             "snapshot has engine state for an engine without snapshots");
       }
-      shard.engine->load_state(r, attr_remap, build_pool.get());
+      shard.engine->load_state(r, attr_remap);
       const std::uint64_t mapped =
           r.varint_max(route_bound, "shard subscription map");
       if (mapped != shard.engine->subscription_count() ||
@@ -313,7 +304,7 @@ void ShardedBroker::restore_snapshot_payload(storage::Reader& r) {
               e.what());
         }
       }
-      shard.engine->finish_bulk_load(build_pool.get());
+      shard.engine->finish_bulk_load(nullptr);
     } else {
       throw StorageError("unknown shard snapshot tag");
     }

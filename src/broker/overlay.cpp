@@ -109,8 +109,11 @@ void BrokerNetwork::forward_event(BrokerId at, BrokerId arrived_from,
     LinkInterest& interest = link_interest(at, neighbor);
     // Content-based routing: the link is taken only when somebody beyond it
     // is interested. The interest check is itself a filtering-engine match.
+    if (match_ctx_ == nullptr) match_ctx_ = interest.engine->make_context();
     match_scratch_.clear();
-    interest.engine->match(event, match_scratch_);
+    VectorSink sink(match_scratch_);
+    interest.engine->match_range(std::span<const Event>(&event, 1), 0, 1, sink,
+                                 *match_ctx_);
     if (match_scratch_.empty()) continue;
     OverlayMessage msg;
     msg.kind = OverlayMessage::Kind::Publish;

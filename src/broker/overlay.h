@@ -177,6 +177,9 @@ class BrokerNetwork {
   std::unordered_map<std::uint64_t, SubRecord> subs_;
   std::vector<std::uint32_t> union_find_;
   std::uint64_t notifications_ = 0;
+  /// Interest-check scratch. Every link engine is of engine_kind_, so one
+  /// match context (built by the first link matched) serves them all.
+  std::unique_ptr<MatchContext> match_ctx_;
   std::vector<SubscriptionId> match_scratch_;
 };
 

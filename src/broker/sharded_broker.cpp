@@ -29,9 +29,9 @@ constexpr std::size_t kMergeTasksPerWorker = 4;
 /// Hard ceiling on adaptively sized chunks. A mutator's epoch grace period
 /// waits out at most the chunks currently pinned, so this cap — not the
 /// batch size — bounds control-op apply latency: a 1M-event batch still
-/// yields the write gate every <= 512 events per worker. Explicit
-/// match_chunk_events and the kPerShard baseline are exempt (callers who
-/// pin the chunking own the latency consequence).
+/// yields the write gate every <= 512 events per worker. An explicit
+/// match_chunk_events is exempt (callers who pin the chunking, up to one
+/// task per shard, own the latency consequence).
 constexpr std::size_t kMaxChunkEvents = 512;
 
 }  // namespace
@@ -78,7 +78,6 @@ ShardedBroker::ShardedBroker(AttributeRegistry& attrs,
   if (config.metrics && obs::kMetricsEnabled) {
     cells_ = std::make_unique<obs::BrokerMetrics>(registry_);
   }
-  scheduler_ = config.scheduler;
   match_chunk_events_ = config.match_chunk_events;
   std::size_t threads = config.worker_threads;
   if (threads == 0) {
@@ -402,21 +401,6 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
     }
   }
 
-  // One temporary pool serves every shard applied inline from this call; it
-  // exists only while large batches are being built (the broker's own pool_
-  // may be mid-parallel_for on the data plane, and ThreadPool joins are
-  // pool-global, so sharing it would entangle the two).
-  std::unique_ptr<ThreadPool> build_pool;
-  const auto build_pool_for = [&](std::size_t items) -> ThreadPool* {
-    if (items < kBulkBuildParallelThreshold) return nullptr;
-    if (build_pool == nullptr) {
-      const std::size_t hw = std::thread::hardware_concurrency();
-      build_pool = std::make_unique<ThreadPool>(
-          std::min<std::size_t>(hw == 0 ? 1 : hw, 8));
-    }
-    return build_pool.get();
-  };
-
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (per_shard[s].empty()) continue;
     Shard& shard = *shards_[s];
@@ -436,15 +420,13 @@ std::vector<SubscriptionId> ShardedBroker::subscribe_bulk(
       for (const BulkSubscribeItem& item : per_shard[s]) {
         apply_subscribe(shard, item.global, item.owner, *item.raw);
       }
-      shard.engine->finish_bulk_load(build_pool_for(per_shard[s].size()));
+      shard.engine->finish_bulk_load(nullptr);
       issue_generation_.store(generation, std::memory_order_release);
       shard.fence.advance(generation);
       record_apply_latency(issue_tick);
     } else {
       // The shard is busy: one command carries the whole batch; the next
-      // drain applies it with the same bulk-load window (sequential build —
-      // the drainer may be the apply thread or a match task, and nesting
-      // pool joins deadlocks).
+      // drain applies it with the same bulk-load window.
       ShardCommand command;
       command.kind = ShardCommand::Kind::BulkSubscribe;
       command.bulk = std::move(per_shard[s]);
@@ -666,9 +648,7 @@ void ShardedBroker::run_match_tasks(std::span<const Event> events) {
   // its pin, which is what bounds every mutator's grace-period wait.
   const std::size_t workers = pool_->thread_count();
   std::size_t chunk = match_chunk_events_;
-  if (scheduler_ == MatchScheduler::kPerShard) {
-    chunk = events.size();
-  } else if (chunk == 0) {
+  if (chunk == 0) {
     const std::size_t target_tasks =
         std::max(shard_count, workers * kMatchTasksPerWorker);
     const std::size_t per_shard =

@@ -107,7 +107,6 @@
 #include "common/generation_fence.h"
 #include "common/ids.h"
 #include "common/mpsc_queue.h"
-#include "common/thread_pool.h"
 #include "common/work_stealing_pool.h"
 #include "engine/engine.h"
 #include "delivery/delivery_plane.h"
@@ -125,17 +124,6 @@ namespace storage {
 class Writer;
 class Reader;
 }  // namespace storage
-
-/// How publish_batch schedules match work across the worker pool.
-enum class MatchScheduler : std::uint8_t {
-  /// (shard × event-chunk) tasks on the work-stealing pool: chunk size
-  /// adapts to batch size and shard count, idle workers steal chunks from
-  /// loaded shards. The default.
-  kWorkStealing,
-  /// One task per shard (the pre-work-stealing design), kept as the
-  /// benchmark baseline for quantifying what stealing buys under skew.
-  kPerShard,
-};
 
 struct ShardedBrokerConfig {
   /// Independent engine shards. 1 is the single-engine broker (Broker).
@@ -155,11 +143,11 @@ struct ShardedBrokerConfig {
   /// colocates a subscriber's portfolio on one shard — deliberate skew,
   /// which the work-stealing scheduler is built to absorb.
   ShardPlacement placement = ShardPlacement::kSpread;
-  /// Match task scheduling policy (see MatchScheduler).
-  MatchScheduler scheduler = MatchScheduler::kWorkStealing;
-  /// Events per (shard × chunk) match task under kWorkStealing. 0 sizes
-  /// chunks adaptively: enough tasks per shard that stealing can level a
-  /// skewed load (~8 tasks per worker across the batch), but no more.
+  /// Events per (shard × chunk) match task on the work-stealing pool. 0
+  /// sizes chunks adaptively: enough tasks per shard that stealing can
+  /// level a skewed load (~8 tasks per worker across the batch), but no
+  /// more. A value at least the batch size gives one task per shard (the
+  /// pre-work-stealing baseline bench_sharded compares against).
   std::size_t match_chunk_events = 0;
   /// Delivery plane configuration. The default (DeliveryMode::Inline) runs
   /// callbacks on the publishing thread — the seed semantics; Async routes
@@ -228,9 +216,8 @@ class ShardedBroker {
   /// validated before any state changes, so a throw registers nothing), but
   /// each shard builds its phase-1 index in bulk: predicate registration is
   /// deferred across the shard's whole batch and handed to
-  /// PredicateIndex::bulk_load, partitioned by attribute and (for large
-  /// batches applied inline) built on a temporary thread pool. Shards busy
-  /// with a batch receive one queued BulkSubscribe command instead of N
+  /// PredicateIndex::bulk_load, partitioned by attribute. Shards busy with
+  /// a batch receive one queued BulkSubscribe command instead of N
   /// Subscribe commands. Thread-safe. Returns the new ids in input order.
   std::vector<SubscriptionId> subscribe_bulk(
       SubscriberId subscriber, std::span<const std::string> texts);
@@ -466,11 +453,6 @@ class ShardedBroker {
 
   static constexpr std::uint64_t kAcceptedUnset = ~std::uint64_t{0};
 
-  /// Inline bulk-subscribe batches at least this large build their phase-1
-  /// index on a temporary thread pool; smaller ones build sequentially
-  /// (thread spin-up would cost more than it saves).
-  static constexpr std::size_t kBulkBuildParallelThreshold = 512;
-
   class ChunkSink;
   using CallbackMap = std::unordered_map<SubscriberId, NotifyFn>;
 
@@ -635,7 +617,6 @@ class ShardedBroker {
   /// Match scheduler pool. The publishing thread is its worker 0, so a
   /// one-worker pool owns no thread.
   std::unique_ptr<WorkStealingPool> pool_;
-  MatchScheduler scheduler_ = MatchScheduler::kWorkStealing;
   std::size_t match_chunk_events_ = 0;  // config knob; 0 = adaptive
   /// One reusable match context per pool worker (contexts of one engine
   /// kind are interchangeable across shards). Index = worker id.

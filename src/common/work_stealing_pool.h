@@ -1,15 +1,14 @@
 // Work-stealing task pool for the broker's match scheduler.
 //
-// The central-queue ThreadPool (thread_pool.h) is fine for coarse fan-out —
-// one task per shard — but it makes the hottest shard the critical path: a
-// skew-loaded shard's whole batch is one task, and idle workers have nothing
-// to take from it. This pool runs *index ranges* instead: run_tasks(count,
-// fn) splits [0, count) into per-worker deques of task indices, each worker
-// pops its own deque LIFO (the most recently queued index is the one whose
-// data is hottest in cache), and a worker whose deque is empty steals from a
-// victim's deque FIFO — the oldest index, i.e. the head of the largest
-// remaining contiguous run, so a steal grabs the biggest coherent piece of
-// work and steal frequency stays low.
+// One task per shard would make the hottest shard the critical path: a
+// skew-loaded shard's whole batch would be one task, and idle workers would
+// have nothing to take from it. This pool runs *index ranges* instead:
+// run_tasks(count, fn) splits [0, count) into per-worker deques of task
+// indices, each worker pops its own deque LIFO (the most recently queued
+// index is the one whose data is hottest in cache), and a worker whose deque
+// is empty steals from a victim's deque FIFO — the oldest index, i.e. the
+// head of the largest remaining contiguous run, so a steal grabs the biggest
+// coherent piece of work and steal frequency stays low.
 //
 // Tasks are identified by index only; the caller's `fn(task, worker)` maps
 // the index to work (the sharded broker maps it to a (shard, event-chunk)

@@ -308,9 +308,8 @@ std::unique_ptr<MatchContext> NonCanonicalEngine::make_context() const {
   return std::make_unique<ForestContext>();
 }
 
-void NonCanonicalEngine::force_scratch_epoch_wrap() {
-  static_cast<ForestContext&>(default_context())
-      .touched.jump_epoch_for_test(~0u);
+void NonCanonicalEngine::force_scratch_epoch_wrap(MatchContext& ctx) {
+  static_cast<ForestContext&>(ctx).touched.jump_epoch_for_test(~0u);
 }
 
 void NonCanonicalEngine::match_predicates_impl(
@@ -571,8 +570,7 @@ void NonCanonicalEngine::save_state(storage::Writer& w) const {
 }
 
 void NonCanonicalEngine::load_state(storage::Reader& r,
-                                    std::span<const AttributeId> attr_remap,
-                                    ThreadPool* pool) {
+                                    std::span<const AttributeId> attr_remap) {
   NCPS_EXPECTS(subs_.empty() && live_count_ == 0 &&
                forest_.live_nodes() == 0 && table_->size() == 0);
 
@@ -597,7 +595,7 @@ void NonCanonicalEngine::load_state(storage::Reader& r,
     use_count_[pid] = 1;
     entries.push_back({PredicateId(pid), &table_->get(PredicateId(pid))});
   }
-  index_.bulk_load(entries, pool);
+  index_.bulk_load(entries, nullptr);
 
   // Subscription records: each live subscription holds one root reference
   // and (under SortedChildren) its evaluation permutation.
@@ -756,12 +754,6 @@ MemoryBreakdown NonCanonicalEngine::memory() const {
     partial += vector_bytes(entry.second);
   }
   mem.add("partial_sharing", partial);
-  // Match scratch is context-owned now; the engine accounts only for its
-  // own (legacy-path) default context. Per-worker contexts belong to the
-  // broker layer.
-  if (const MatchContext* ctx = default_context_if_any()) {
-    ctx->add_memory(mem);
-  }
   mem.add("scratch/free_ids", vector_bytes(free_ids_));
   mem.add_nested("index/", index_.memory());
   return mem;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.h"
-#include "common/thread_pool.h"
 
 namespace ncps {
 
@@ -35,7 +34,7 @@ bool PredicateIndex::remove(PredicateId id, const Predicate& p) {
 }
 
 void PredicateIndex::bulk_load(std::span<const BulkEntry> entries,
-                               ThreadPool* pool) {
+                               WorkStealingPool* /*pool*/) {
   // Partition by attribute first: NotExists entries are cross-attribute
   // bookkeeping (sequential, cheap), everything else buckets to exactly one
   // AttributeIndex.
@@ -57,24 +56,11 @@ void PredicateIndex::bulk_load(std::span<const BulkEntry> entries,
     }
     buckets[entry.predicate->attribute.value()].push_back(entry);
   }
-  std::vector<std::uint32_t> work;
   for (std::uint32_t a = 0; a < buckets.size(); ++a) {
-    if (!buckets[a].empty()) work.push_back(a);
-  }
-  // One build task per attribute: tasks write disjoint AttributeIndex
-  // objects (the vector itself was resized above), so no synchronisation is
-  // needed beyond the pool's join.
-  const auto build = [&](std::size_t i) {
-    const std::uint32_t attribute = work[i];
-    AttributeIndex& index = per_attribute_[attribute];
-    for (const BulkEntry& entry : buckets[attribute]) {
+    AttributeIndex& index = per_attribute_[a];
+    for (const BulkEntry& entry : buckets[a]) {
       index.add(entry.id, *entry.predicate);
     }
-  };
-  if (pool == nullptr || work.size() <= 1) {
-    for (std::size_t i = 0; i < work.size(); ++i) build(i);
-  } else {
-    pool->parallel_for(work.size(), build);
   }
 }
 

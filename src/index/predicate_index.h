@@ -22,7 +22,7 @@
 
 namespace ncps {
 
-class ThreadPool;
+class WorkStealingPool;
 
 class PredicateIndex {
  public:
@@ -38,12 +38,12 @@ class PredicateIndex {
   };
 
   /// Register a batch of predicates at once — equivalent to add() in a loop
-  /// but partitioned by attribute, so each AttributeIndex is built
-  /// independently (and, given a pool, in parallel: attribute indexes are
-  /// disjoint structures, one build task per attribute touches no shared
-  /// state). `pool` may be null for a sequential build. May be called on a
-  /// non-empty index; entries merge with existing postings.
-  void bulk_load(std::span<const BulkEntry> entries, ThreadPool* pool);
+  /// but partitioned by attribute, so each AttributeIndex is built in one
+  /// pass. May be called on a non-empty index; entries merge with existing
+  /// postings. The build is sequential and `pool` is unused (pass nullptr):
+  /// a parallel per-attribute build measured no faster, and the parameter
+  /// stays only until no caller passes it.
+  void bulk_load(std::span<const BulkEntry> entries, WorkStealingPool* pool);
 
   /// Append every registered predicate matching `event` to `out`.
   void match(const Event& event, const PredicateTable& table,

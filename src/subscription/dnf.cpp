@@ -45,6 +45,38 @@ Disjunct merge_sorted_unique(const Disjunct& a, const Disjunct& b) {
   return out;
 }
 
+// Or: append a child's disjuncts.
+[[gnu::noinline]] void append_disjuncts(std::vector<Disjunct>& out,
+                                        std::vector<Disjunct> child,
+                                        const DnfOptions& options) {
+  if (out.size() + child.size() > options.max_disjuncts) {
+    throw DnfExplosionError(out.size() + child.size());
+  }
+  out.insert(out.end(), std::make_move_iterator(child.begin()),
+             std::make_move_iterator(child.end()));
+}
+
+// And: distribute the conjunction so far over a child's disjuncts.
+[[gnu::noinline]] std::vector<Disjunct> cross_disjuncts(
+    const std::vector<Disjunct>& acc, const std::vector<Disjunct>& child,
+    const DnfOptions& options) {
+  const std::uint64_t next_size =
+      static_cast<std::uint64_t>(acc.size()) * child.size();
+  if (next_size > options.max_disjuncts) {
+    throw DnfExplosionError(next_size);
+  }
+  std::vector<Disjunct> next;
+  next.reserve(static_cast<std::size_t>(next_size));
+  for (const auto& a : acc) {
+    for (const auto& b : child) {
+      next.push_back(merge_sorted_unique(a, b));
+    }
+  }
+  return next;
+}
+
+// Recurses once per tree level (up to the parser's depth cap), so the
+// combining steps stay out of line to keep this frame small.
 std::vector<Disjunct> dnf_rec(const ast::Node& node,
                               const DnfOptions& options) {
   switch (node.kind) {
@@ -55,32 +87,14 @@ std::vector<Disjunct> dnf_rec(const ast::Node& node,
     case ast::NodeKind::Or: {
       std::vector<Disjunct> out;
       for (const auto& c : node.children) {
-        std::vector<Disjunct> child = dnf_rec(*c, options);
-        if (out.size() + child.size() > options.max_disjuncts) {
-          throw DnfExplosionError(out.size() + child.size());
-        }
-        out.insert(out.end(), std::make_move_iterator(child.begin()),
-                   std::make_move_iterator(child.end()));
+        append_disjuncts(out, dnf_rec(*c, options), options);
       }
       return out;
     }
     case ast::NodeKind::And: {
       std::vector<Disjunct> acc = {{}};  // one empty conjunction
       for (const auto& c : node.children) {
-        const std::vector<Disjunct> child = dnf_rec(*c, options);
-        const std::uint64_t next_size =
-            static_cast<std::uint64_t>(acc.size()) * child.size();
-        if (next_size > options.max_disjuncts) {
-          throw DnfExplosionError(next_size);
-        }
-        std::vector<Disjunct> next;
-        next.reserve(static_cast<std::size_t>(next_size));
-        for (const auto& a : acc) {
-          for (const auto& b : child) {
-            next.push_back(merge_sorted_unique(a, b));
-          }
-        }
-        acc = std::move(next);
+        acc = cross_disjuncts(acc, dnf_rec(*c, options), options);
       }
       return acc;
     }

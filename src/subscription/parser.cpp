@@ -1,10 +1,13 @@
 #include "subscription/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <optional>
+#include <string>
 
 #include "common/contracts.h"
+#include "subscription/shared_forest.h"
 
 namespace ncps {
 
@@ -152,48 +155,117 @@ class Parser {
     if (current_.kind != kind) throw ParseError(message, current_.position);
   }
 
+  /// One parenthesised group still open (the whole expression is the
+  /// outermost): the `or` terms completed so far, the `and` terms of the
+  /// term being built, the height of the tallest term in each, and how many
+  /// `not`s apply to the group's result.
+  struct Group {
+    std::vector<RawNodePtr> or_terms;
+    std::vector<RawNodePtr> and_terms;
+    std::size_t or_height = 0;
+    std::size_t and_height = 0;
+    std::size_t nots = 0;
+  };
+
+  /// or_expr := and_expr ('or' and_expr)*, and_expr := unary ('and' unary)*,
+  /// unary := 'not' unary | '(' or_expr ')' | predicate — parsed with an
+  /// explicit stack of open groups rather than recursion, so nesting costs
+  /// heap, not call stack. Two limits, both the forest's depth cap: open
+  /// `not`s plus open '(' (which bounds the group stack, however hostile
+  /// the text), and the height of the tree built — edges from the root to
+  /// its deepest leaf, where every Not and every And/Or node that joins
+  /// several terms is one level, the way SharedForest counts. Flattening
+  /// only lowers that height, so no engine meets a tree deeper than its
+  /// cap, and every recursive walk (and teardown) of a parsed tree is
+  /// bounded by it.
   RawNodePtr parse_or() {
-    RawNodePtr left = parse_and();
-    if (!at_keyword("or")) return left;
-    auto node = std::make_unique<RawNode>();
-    node->kind = ast::NodeKind::Or;
-    node->children.push_back(std::move(left));
-    while (at_keyword("or")) {
-      advance();
-      node->children.push_back(parse_and());
+    std::vector<Group> groups(1);
+    for (;;) {
+      std::size_t nots = 0;
+      for (;;) {
+        if (at_keyword("not")) {
+          enter_nesting();
+          advance();
+          ++nots;
+        } else if (current_.kind == TokenKind::LParen) {
+          enter_nesting();
+          advance();
+          groups.emplace_back().nots = nots;
+          nots = 0;
+        } else {
+          break;
+        }
+      }
+      std::size_t height = 0;
+      RawNodePtr operand = negate(parse_predicate(), nots, height);
+      // Fold the operand into its group, closing groups while ')' follows.
+      for (;;) {
+        Group& group = groups.back();
+        group.and_terms.push_back(std::move(operand));
+        group.and_height = std::max(group.and_height, height);
+        if (at_keyword("and")) break;
+        height = group.and_height;
+        group.or_terms.push_back(
+            join(ast::NodeKind::And, std::move(group.and_terms), height));
+        group.or_height = std::max(group.or_height, height);
+        group.and_terms.clear();
+        group.and_height = 0;
+        if (at_keyword("or")) break;
+        height = group.or_height;
+        RawNodePtr closed =
+            join(ast::NodeKind::Or, std::move(group.or_terms), height);
+        if (groups.size() == 1) return closed;
+        expect(TokenKind::RParen, "expected ')'");
+        advance();
+        --depth_;
+        const std::size_t group_nots = group.nots;
+        groups.pop_back();
+        operand = negate(std::move(closed), group_nots, height);
+      }
+      advance();  // past the 'and' / 'or'
+    }
+  }
+
+  void enter_nesting() {
+    if (++depth_ > SharedForest::kMaxDepth) throw_too_deep();
+  }
+
+  /// Raise a subtree's `height` by `levels`, refusing past the forest's cap.
+  void raise_height(std::size_t& height, std::size_t levels) const {
+    height += levels;
+    if (height > SharedForest::kMaxDepth) throw_too_deep();
+  }
+
+  [[noreturn]] void throw_too_deep() const {
+    throw ParseError("expression nested deeper than " +
+                         std::to_string(SharedForest::kMaxDepth) + " levels",
+                     current_.position);
+  }
+
+  /// Wrap `node` (of height `height`, updated) in `nots` Not nodes,
+  /// closing their nesting levels.
+  RawNodePtr negate(RawNodePtr node, std::size_t nots, std::size_t& height) {
+    depth_ -= nots;
+    raise_height(height, nots);
+    for (; nots > 0; --nots) {
+      auto wrapper = std::make_unique<RawNode>();
+      wrapper->kind = ast::NodeKind::Not;
+      wrapper->children.push_back(std::move(node));
+      node = std::move(wrapper);
     }
     return node;
   }
 
-  RawNodePtr parse_and() {
-    RawNodePtr left = parse_unary();
-    if (!at_keyword("and")) return left;
+  /// One term stands for itself; several become one n-ary node, a level
+  /// above the tallest (`height`, updated).
+  RawNodePtr join(ast::NodeKind kind, std::vector<RawNodePtr> terms,
+                  std::size_t& height) const {
+    if (terms.size() == 1) return std::move(terms.front());
+    raise_height(height, 1);
     auto node = std::make_unique<RawNode>();
-    node->kind = ast::NodeKind::And;
-    node->children.push_back(std::move(left));
-    while (at_keyword("and")) {
-      advance();
-      node->children.push_back(parse_unary());
-    }
+    node->kind = kind;
+    node->children = std::move(terms);
     return node;
-  }
-
-  RawNodePtr parse_unary() {
-    if (at_keyword("not")) {
-      advance();
-      auto node = std::make_unique<RawNode>();
-      node->kind = ast::NodeKind::Not;
-      node->children.push_back(parse_unary());
-      return node;
-    }
-    if (current_.kind == TokenKind::LParen) {
-      advance();
-      RawNodePtr inner = parse_or();
-      expect(TokenKind::RParen, "expected ')'");
-      advance();
-      return inner;
-    }
-    return parse_predicate();
   }
 
   RawNodePtr parse_predicate() {
@@ -300,6 +372,7 @@ class Parser {
   Lexer lexer_;
   AttributeRegistry* attrs_;
   Token current_;
+  std::size_t depth_ = 0;  // open `not`s and parentheses
 };
 
 ast::NodePtr intern_node(const RawNode& raw, PredicateTable& table) {

@@ -163,23 +163,11 @@ SharedForest::InternResult SharedForest::intern(
 
 SharedForest::NodeId SharedForest::intern_node(
     const ast::Node& node, std::vector<std::uint32_t>* permutation) {
-  if (node.kind == ast::NodeKind::Leaf) {
-    const std::uint32_t pid = node.pred.value();
-    if (pid >= leaf_by_pred_.size()) leaf_by_pred_.resize(pid + 1, kNoNode);
-    if (leaf_by_pred_[pid] != kNoNode) {
-      const NodeId id = leaf_by_pred_[pid];
-      ++metas_[id].refs;
-      return id;
-    }
-    const NodeId id = new_node();
-    metas_[id] = Meta{pid, 1, kNoNode,
-                      pack(0, 0, ast::NodeKind::Leaf, /*static=*/false)};
-    leaf_by_pred_[pid] = id;
-    ++live_count_;
-    bucket_insert(id, leaf_hash(node.pred));
-    if (on_leaf_created_) on_leaf_created_(node.pred);
-    return id;
-  }
+  // This recursion runs once per tree level (up to kMaxDepth), so its frame
+  // holds only what the descent needs; the leaf and node construction
+  // bodies stay out of line, or inlining them multiplies the frame (and,
+  // in sanitizer builds, overflows the stack at the depth cap).
+  if (node.kind == ast::NodeKind::Leaf) return intern_leaf(node.pred);
 
   // Interior node: intern children first (one temporary reference each).
   // The permutation slots for this node are reserved *before* the children
@@ -197,7 +185,32 @@ SharedForest::NodeId SharedForest::intern_node(
   for (const auto& c : node.children) {
     kids.push_back(intern_node(*c, permutation));
   }
+  return intern_interior(node.kind, std::move(kids), perm_base, permutation);
+}
 
+SharedForest::NodeId SharedForest::intern_leaf(PredicateId pred) {
+  const std::uint32_t pid = pred.value();
+  if (pid >= leaf_by_pred_.size()) leaf_by_pred_.resize(pid + 1, kNoNode);
+  if (leaf_by_pred_[pid] != kNoNode) {
+    const NodeId id = leaf_by_pred_[pid];
+    ++metas_[id].refs;
+    return id;
+  }
+  const NodeId id = new_node();
+  metas_[id] = Meta{pid, 1, kNoNode,
+                    pack(0, 0, ast::NodeKind::Leaf, /*static=*/false)};
+  leaf_by_pred_[pid] = id;
+  ++live_count_;
+  bucket_insert(id, leaf_hash(pred));
+  if (on_leaf_created_) on_leaf_created_(pred);
+  return id;
+}
+
+SharedForest::NodeId SharedForest::intern_interior(
+    ast::NodeKind node_kind, std::vector<NodeId> kids, std::size_t perm_base,
+    std::vector<std::uint32_t>* permutation) {
+  const bool commutative =
+      node_kind == ast::NodeKind::And || node_kind == ast::NodeKind::Or;
   if (normalisation_ == Normalisation::SortedChildren && commutative) {
     // Canonical child order: structural hash, ties broken by node id. The
     // stable sort keeps duplicate children (same id) in written relative
@@ -221,11 +234,11 @@ SharedForest::NodeId SharedForest::intern_node(
     kids = std::move(sorted);
   }
 
-  const std::uint64_t hash = interior_hash(node.kind, kids);
+  const std::uint64_t hash = interior_hash(node_kind, kids);
   if (!buckets_.empty()) {
     for (NodeId id = buckets_[hash & (buckets_.size() - 1)]; id != kNoNode;
          id = next_[id]) {
-      if (kind(id) != node.kind || child_count(id) != kids.size()) continue;
+      if (kind(id) != node_kind || child_count(id) != kids.size()) continue;
       const std::span<const NodeId> existing = children(id);
       if (!std::equal(existing.begin(), existing.end(), kids.begin())) {
         continue;
@@ -242,7 +255,7 @@ SharedForest::NodeId SharedForest::intern_node(
   std::uint32_t max_rank = 0;
   for (const NodeId k : kids) max_rank = std::max(max_rank, rank(k));
   bool stat = false;
-  switch (node.kind) {
+  switch (node_kind) {
     case ast::NodeKind::And:
       stat = std::all_of(kids.begin(), kids.end(),
                          [&](NodeId k) { return static_truth(k); });
@@ -263,7 +276,7 @@ SharedForest::NodeId SharedForest::intern_node(
   std::copy(kids.begin(), kids.end(), child_arena_.begin() + offset);
   const NodeId id = new_node();
   metas_[id] = Meta{offset, 1, kNoNode,
-                    pack(kids.size(), max_rank + 1, node.kind, stat)};
+                    pack(kids.size(), max_rank + 1, node_kind, stat)};
   for (const NodeId k : kids) add_parent(k, id);
   ++live_count_;
   bucket_insert(id, hash);

@@ -310,6 +310,10 @@ class SharedForest {
 
   NodeId intern_node(const ast::Node& node,
                      std::vector<std::uint32_t>* permutation);
+  [[gnu::noinline]] NodeId intern_leaf(PredicateId pred);
+  [[gnu::noinline]] NodeId intern_interior(
+      ast::NodeKind node_kind, std::vector<NodeId> kids, std::size_t perm_base,
+      std::vector<std::uint32_t>* permutation);
   ast::NodePtr to_ast_permuted(NodeId id,
                                std::span<const std::uint32_t> permutation,
                                std::size_t& cursor) const;

@@ -112,10 +112,10 @@ TEST_P(BulkLoadTest, BulkMatchesIndividualSubscribes) {
   }
 }
 
-TEST_P(BulkLoadTest, LargeBatchTakesParallelBuildPath) {
-  // One shard, 600 subscriptions: everything lands in a single bucket above
-  // kBulkBuildParallelThreshold, so the index build runs on the temporary
-  // pool. Matching must be unaffected.
+TEST_P(BulkLoadTest, LargeSingleShardBatchMatchesCorrectly) {
+  // One shard, 600 subscriptions in one bulk-load window over two
+  // attributes: one sequential index build serves the whole batch, and
+  // matching must see every subscription.
   const EngineKind kind = GetParam();
   AttributeRegistry attrs;
   ShardedBroker broker(

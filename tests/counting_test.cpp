@@ -110,15 +110,15 @@ TEST_F(CountingTest, CountingStatsScanWholeTable) {
   const auto pid = table_.find(
       Predicate{attrs_.find("x0"), Operator::Eq, Value(1), {}});
   ASSERT_TRUE(pid.has_value());
-  std::vector<SubscriptionId> out;
-  counting.match_predicates(std::vector{*pid}, out);
-  EXPECT_EQ(counting.last_stats().counter_comparisons, 40u);  // full scan
-  EXPECT_EQ(counting.last_stats().hit_increments, 2u);  // x0==1 in 2 disjuncts
+  const auto counting_ctx = counting.make_context();
+  (void)testing::match_predicates(counting, {*pid}, *counting_ctx);
+  EXPECT_EQ(counting_ctx->stats.counter_comparisons, 40u);  // full scan
+  EXPECT_EQ(counting_ctx->stats.hit_increments, 2u);  // x0==1 in 2 disjuncts
 
-  out.clear();
-  variant.match_predicates(std::vector{*pid}, out);
-  EXPECT_EQ(variant.last_stats().counter_comparisons, 2u);  // candidates only
-  EXPECT_EQ(variant.last_stats().hit_increments, 2u);
+  const auto variant_ctx = variant.make_context();
+  (void)testing::match_predicates(variant, {*pid}, *variant_ctx);
+  EXPECT_EQ(variant_ctx->stats.counter_comparisons, 2u);  // candidates only
+  EXPECT_EQ(variant_ctx->stats.hit_increments, 2u);
 }
 
 TEST_F(CountingTest, HitVectorResetBetweenEvents) {
@@ -131,12 +131,14 @@ TEST_F(CountingTest, HitVectorResetBetweenEvents) {
       table_.find(Predicate{attrs_.find("a"), Operator::Eq, Value(1), {}});
   ASSERT_TRUE(pid_a.has_value());
 
-  EXPECT_TRUE(testing::match_predicates(engine, {*pid_a}).empty());
-  EXPECT_TRUE(testing::match_predicates(engine, {*pid_a}).empty());
+  // One context across the calls: the hit vector lives in it.
+  const auto ctx = engine.make_context();
+  EXPECT_TRUE(testing::match_predicates(engine, {*pid_a}, *ctx).empty());
+  EXPECT_TRUE(testing::match_predicates(engine, {*pid_a}, *ctx).empty());
   const auto pid_b =
       table_.find(Predicate{attrs_.find("b"), Operator::Eq, Value(2), {}});
   ASSERT_TRUE(pid_b.has_value());
-  EXPECT_EQ(testing::match_predicates(engine, {*pid_a, *pid_b}),
+  EXPECT_EQ(testing::match_predicates(engine, {*pid_a, *pid_b}, *ctx),
             std::vector{s});
 }
 

@@ -259,10 +259,12 @@ TEST_F(EncodedTreeV2Test, EngineWithV2MatchesEngineWithV1) {
     const SubscriptionId b = v2_engine.add(exprs.back().root());
     ASSERT_EQ(a, b);
   }
+  const auto v1_ctx = v1_engine.make_context();
+  const auto v2_ctx = v2_engine.make_context();
   for (int i = 0; i < 200; ++i) {
     const Event event = workload.next_event();
-    EXPECT_EQ(testing::match_event(v1_engine, event),
-              testing::match_event(v2_engine, event))
+    EXPECT_EQ(testing::match_event(v1_engine, event, *v1_ctx),
+              testing::match_event(v2_engine, event, *v2_ctx))
         << "event " << i;
   }
   // The v2 engine's tree storage is strictly smaller.

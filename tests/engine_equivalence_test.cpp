@@ -38,6 +38,11 @@ TEST_P(EquivalenceTest, AllEnginesAgreeWithOracle) {
   NonCanonicalTreeEngine tree(table);
   CountingEngine counting(table);
   CountingVariantEngine variant(table);
+  // One context per engine, reused across events as a broker worker's is.
+  const auto non_canonical_ctx = non_canonical.make_context();
+  const auto tree_ctx = tree.make_context();
+  const auto counting_ctx = counting.make_context();
+  const auto variant_ctx = variant.make_context();
 
   std::vector<ast::Expr> exprs;  // keeps ASTs alive for the oracle
   std::vector<std::pair<SubscriptionId, const ast::Node*>> oracle_subs;
@@ -58,16 +63,17 @@ TEST_P(EquivalenceTest, AllEnginesAgreeWithOracle) {
   for (int i = 0; i < regime.events; ++i) {
     const Event event = workload.next_event();
     const auto expected = testing::oracle_match(oracle_subs, table, event);
-    EXPECT_EQ(testing::match_event(non_canonical, event), expected)
+    EXPECT_EQ(testing::match_event(non_canonical, event, *non_canonical_ctx),
+              expected)
         << "non-canonical (forest) diverged on event " << i << ": "
         << event.to_display_string(attrs);
-    EXPECT_EQ(testing::match_event(tree, event), expected)
+    EXPECT_EQ(testing::match_event(tree, event, *tree_ctx), expected)
         << "non-canonical-tree diverged on event " << i << ": "
         << event.to_display_string(attrs);
-    EXPECT_EQ(testing::match_event(counting, event), expected)
+    EXPECT_EQ(testing::match_event(counting, event, *counting_ctx), expected)
         << "counting diverged on event " << i << ": "
         << event.to_display_string(attrs);
-    EXPECT_EQ(testing::match_event(variant, event), expected)
+    EXPECT_EQ(testing::match_event(variant, event, *variant_ctx), expected)
         << "counting-variant diverged on event " << i << ": "
         << event.to_display_string(attrs);
   }
@@ -154,6 +160,11 @@ TEST(EquivalenceChurnTest, AgreesAfterUnsubscriptions) {
   NonCanonicalTreeEngine tree(table);
   CountingEngine counting(table);
   CountingVariantEngine variant(table);
+  // One context per engine, reused across events as a broker worker's is.
+  const auto non_canonical_ctx = non_canonical.make_context();
+  const auto tree_ctx = tree.make_context();
+  const auto counting_ctx = counting.make_context();
+  const auto variant_ctx = variant.make_context();
 
   std::vector<ast::Expr> exprs;
   std::vector<std::pair<SubscriptionId, const ast::Node*>> live;
@@ -182,10 +193,11 @@ TEST(EquivalenceChurnTest, AgreesAfterUnsubscriptions) {
   for (int i = 0; i < 150; ++i) {
     const Event event = workload.next_event();
     const auto expected = testing::oracle_match(kept, table, event);
-    EXPECT_EQ(testing::match_event(non_canonical, event), expected);
-    EXPECT_EQ(testing::match_event(tree, event), expected);
-    EXPECT_EQ(testing::match_event(counting, event), expected);
-    EXPECT_EQ(testing::match_event(variant, event), expected);
+    EXPECT_EQ(testing::match_event(non_canonical, event, *non_canonical_ctx),
+              expected);
+    EXPECT_EQ(testing::match_event(tree, event, *tree_ctx), expected);
+    EXPECT_EQ(testing::match_event(counting, event, *counting_ctx), expected);
+    EXPECT_EQ(testing::match_event(variant, event, *variant_ctx), expected);
   }
 }
 
@@ -205,6 +217,11 @@ TEST(EquivalencePhase2Test, PaperWorkloadFulfilledSets) {
   NonCanonicalTreeEngine tree(table);
   CountingEngine counting(table);
   CountingVariantEngine variant(table);
+  // One context per engine, reused across events as a broker worker's is.
+  const auto non_canonical_ctx = non_canonical.make_context();
+  const auto tree_ctx = tree.make_context();
+  const auto counting_ctx = counting.make_context();
+  const auto variant_ctx = variant.make_context();
 
   std::vector<ast::Expr> exprs;
   std::vector<std::pair<SubscriptionId, const ast::Node*>> oracle_subs;
@@ -231,10 +248,14 @@ TEST(EquivalencePhase2Test, PaperWorkloadFulfilledSets) {
     }
     std::sort(expected.begin(), expected.end());
 
-    EXPECT_EQ(testing::match_predicates(non_canonical, fulfilled), expected);
-    EXPECT_EQ(testing::match_predicates(tree, fulfilled), expected);
-    EXPECT_EQ(testing::match_predicates(counting, fulfilled), expected);
-    EXPECT_EQ(testing::match_predicates(variant, fulfilled), expected);
+    EXPECT_EQ(testing::match_predicates(non_canonical, fulfilled,
+                                        *non_canonical_ctx),
+              expected);
+    EXPECT_EQ(testing::match_predicates(tree, fulfilled, *tree_ctx), expected);
+    EXPECT_EQ(testing::match_predicates(counting, fulfilled, *counting_ctx),
+              expected);
+    EXPECT_EQ(testing::match_predicates(variant, fulfilled, *variant_ctx),
+              expected);
   }
 }
 

@@ -11,7 +11,9 @@ namespace {
 
 class EngineTest : public ::testing::TestWithParam<EngineKind> {
  protected:
-  EngineTest() : engine_(make_engine(GetParam(), table_)) {}
+  EngineTest()
+      : engine_(make_engine(GetParam(), table_)),
+        ctx_(engine_->make_context()) {}
 
   SubscriptionId subscribe(std::string_view text) {
     const ast::Expr expr = parse_subscription(text, attrs_, table_);
@@ -19,12 +21,13 @@ class EngineTest : public ::testing::TestWithParam<EngineKind> {
   }
 
   std::vector<SubscriptionId> publish(const Event& e) {
-    return testing::match_event(*engine_, e);
+    return testing::match_event(*engine_, e, *ctx_);
   }
 
   AttributeRegistry attrs_;
   PredicateTable table_;
   std::unique_ptr<FilterEngine> engine_;
+  std::unique_ptr<MatchContext> ctx_;  // reused across calls, like a worker's
 };
 
 TEST_P(EngineTest, EmptyEngineMatchesNothing) {
@@ -102,8 +105,7 @@ TEST_P(EngineTest, SharedPredicateAcrossSubscriptions) {
   const SubscriptionId s2 = subscribe("a == 1 or c == 3");
   EXPECT_EQ(publish(EventBuilder(attrs_).set("a", 1).set("b", 2).build()),
             testing::sorted(std::vector{s1, s2}));
-  EXPECT_EQ(publish(EventBuilder(attrs_).set("a", 1).build()),
-            std::vector{s2});
+  EXPECT_EQ(publish(EventBuilder(attrs_).set("a", 1).build()), std::vector{s2});
 }
 
 TEST_P(EngineTest, UnsubscribeStopsMatching) {
@@ -166,20 +168,20 @@ TEST_P(EngineTest, Phase2EntryPointMatchesFulfilledSet) {
   ASSERT_EQ(preds.size(), 4u);
   const SubscriptionId s = engine_->add(expr.root());
 
-  EXPECT_EQ(testing::match_predicates(*engine_, {preds[0], preds[2]}),
+  EXPECT_EQ(testing::match_predicates(*engine_, {preds[0], preds[2]}, *ctx_),
             std::vector{s});
-  EXPECT_EQ(testing::match_predicates(*engine_, {preds[1], preds[3]}),
+  EXPECT_EQ(testing::match_predicates(*engine_, {preds[1], preds[3]}, *ctx_),
             std::vector{s});
-  EXPECT_TRUE(testing::match_predicates(*engine_, {preds[0], preds[1]})
+  EXPECT_TRUE(testing::match_predicates(*engine_, {preds[0], preds[1]}, *ctx_)
                   .empty());
-  EXPECT_TRUE(testing::match_predicates(*engine_, {preds[2]}).empty());
-  EXPECT_TRUE(testing::match_predicates(*engine_, {}).empty());
+  EXPECT_TRUE(testing::match_predicates(*engine_, {preds[2]}, *ctx_).empty());
+  EXPECT_TRUE(testing::match_predicates(*engine_, {}, *ctx_).empty());
 }
 
 TEST_P(EngineTest, UnknownPredicateIdsInFulfilledSetAreIgnored) {
   const SubscriptionId s = subscribe("a == 1");
   const std::vector<PredicateId> bogus = {PredicateId(4000000)};
-  EXPECT_TRUE(testing::match_predicates(*engine_, bogus).empty());
+  EXPECT_TRUE(testing::match_predicates(*engine_, bogus, *ctx_).empty());
   (void)s;
 }
 
@@ -187,7 +189,7 @@ TEST_P(EngineTest, StatsReportWork) {
   subscribe("a == 1 and b == 2");
   subscribe("a == 1 or c == 3");
   (void)publish(EventBuilder(attrs_).set("a", 1).set("b", 2).build());
-  const MatchStats& stats = engine_->last_stats();
+  const MatchStats& stats = ctx_->stats;
   EXPECT_EQ(stats.matches, 2u);
   EXPECT_GT(stats.candidates, 0u);
 }
@@ -218,44 +220,38 @@ class NonCanonicalTest : public ::testing::Test {
     return engine_.add(expr.root());
   }
 
+  std::vector<SubscriptionId> publish(const Event& e) {
+    return testing::match_event(engine_, e, *ctx_);
+  }
+
   AttributeRegistry attrs_;
   PredicateTable table_;
   NonCanonicalEngine engine_{table_};
+  std::unique_ptr<MatchContext> ctx_ = engine_.make_context();
 };
 
 TEST_F(NonCanonicalTest, PureNegationMatchesViaAlwaysCandidates) {
   // `not a == 1` is satisfiable with zero fulfilled predicates; the
   // association table alone would never surface it.
   const SubscriptionId s = subscribe("not a == 1");
-  EXPECT_EQ(testing::match_event(engine_,
-                                 EventBuilder(attrs_).set("a", 2).build()),
-            std::vector{s});
-  EXPECT_EQ(testing::match_event(engine_,
-                                 EventBuilder(attrs_).set("b", 7).build()),
-            std::vector{s});
-  EXPECT_TRUE(testing::match_event(engine_,
-                                   EventBuilder(attrs_).set("a", 1).build())
-                  .empty());
+  EXPECT_EQ(publish(EventBuilder(attrs_).set("a", 2).build()), std::vector{s});
+  EXPECT_EQ(publish(EventBuilder(attrs_).set("b", 7).build()), std::vector{s});
+  EXPECT_TRUE(publish(EventBuilder(attrs_).set("a", 1).build()).empty());
 }
 
 TEST_F(NonCanonicalTest, NotExistsSemantics) {
   const SubscriptionId s = subscribe("not price exists and sym == \"A\"");
-  EXPECT_EQ(testing::match_event(engine_,
-                                 EventBuilder(attrs_).set("sym", "A").build()),
+  EXPECT_EQ(publish(EventBuilder(attrs_).set("sym", "A").build()),
             std::vector{s});
-  EXPECT_TRUE(testing::match_event(engine_, EventBuilder(attrs_)
-                                                .set("sym", "A")
-                                                .set("price", 1)
-                                                .build())
-                  .empty());
+  EXPECT_TRUE(
+      publish(EventBuilder(attrs_).set("sym", "A").set("price", 1).build())
+          .empty());
 }
 
 TEST_F(NonCanonicalTest, AlwaysCandidateListShrinksOnRemove) {
   const SubscriptionId s = subscribe("not a == 1");
   EXPECT_TRUE(engine_.remove(s));
-  EXPECT_TRUE(testing::match_event(engine_,
-                                   EventBuilder(attrs_).set("a", 2).build())
-                  .empty());
+  EXPECT_TRUE(publish(EventBuilder(attrs_).set("a", 2).build()).empty());
 }
 
 TEST_F(NonCanonicalTest, DuplicateSubscriptionsShareOneRoot) {
@@ -269,14 +265,12 @@ TEST_F(NonCanonicalTest, DuplicateSubscriptionsShareOneRoot) {
   EXPECT_EQ(engine_.distinct_roots(), 1u);
 
   const Event hit = EventBuilder(attrs_).set("a", 1).set("c", 3).build();
-  EXPECT_EQ(testing::match_event(engine_, hit),
-            testing::sorted(std::vector{s1, s2, s3}));
+  EXPECT_EQ(publish(hit), testing::sorted(std::vector{s1, s2, s3}));
   // The shared tree is evaluated once per event, not once per subscription.
-  EXPECT_EQ(engine_.last_stats().node_evaluations, 3u);  // 2 ORs + 1 AND
+  EXPECT_EQ(ctx_->stats.node_evaluations, 3u);  // 2 ORs + 1 AND
 
   EXPECT_TRUE(engine_.remove(s2));
-  EXPECT_EQ(testing::match_event(engine_, hit),
-            testing::sorted(std::vector{s1, s3}));
+  EXPECT_EQ(publish(hit), testing::sorted(std::vector{s1, s3}));
   EXPECT_TRUE(engine_.remove(s1));
   EXPECT_TRUE(engine_.remove(s3));
   EXPECT_EQ(engine_.forest().live_nodes(), 0u);
@@ -298,13 +292,10 @@ TEST_F(NonCanonicalTest, CoveringSubsumptionAliasesEquivalentRoots) {
   EXPECT_EQ(engine_.subsumption_hits(), 1u);
   EXPECT_EQ(engine_.distinct_roots(), 1u);  // proven equivalent: one root
   const Event hit = EventBuilder(attrs_).set("a", 1).set("b", 2).build();
-  EXPECT_EQ(testing::match_event(engine_, hit),
-            testing::sorted(std::vector{s1, s2}));
-  EXPECT_TRUE(
-      testing::match_event(engine_, EventBuilder(attrs_).set("a", 1).build())
-          .empty());
+  EXPECT_EQ(publish(hit), testing::sorted(std::vector{s1, s2}));
+  EXPECT_TRUE(publish(EventBuilder(attrs_).set("a", 1).build()).empty());
   EXPECT_TRUE(engine_.remove(s1));
-  EXPECT_EQ(testing::match_event(engine_, hit), std::vector{s2});
+  EXPECT_EQ(publish(hit), std::vector{s2});
   EXPECT_TRUE(engine_.remove(s2));
   EXPECT_EQ(table_.size(), 0u);
 }
@@ -315,11 +306,8 @@ TEST_F(NonCanonicalTest, SubsumptionNeverAliasesNonEquivalentRoots) {
   const SubscriptionId s2 = subscribe("a == 1 or b == 2");
   EXPECT_EQ(engine_.subsumption_hits(), 0u);
   EXPECT_EQ(engine_.distinct_roots(), 2u);
-  EXPECT_EQ(testing::match_event(engine_,
-                                 EventBuilder(attrs_).set("a", 1).build()),
-            std::vector{s2});
-  EXPECT_EQ(testing::match_event(
-                engine_, EventBuilder(attrs_).set("a", 1).set("b", 2).build()),
+  EXPECT_EQ(publish(EventBuilder(attrs_).set("a", 1).build()), std::vector{s2});
+  EXPECT_EQ(publish(EventBuilder(attrs_).set("a", 1).set("b", 2).build()),
             testing::sorted(std::vector{s1, s2}));
 }
 
@@ -330,10 +318,10 @@ TEST_F(NonCanonicalTest, FrontierEvaluationCountsStaySubLinear) {
     subscribe("(a == 1 or b == 2) and (c == 3 or d == 4)");
   }
   const Event e = EventBuilder(attrs_).set("a", 1).set("c", 3).build();
-  const auto matched = testing::match_event(engine_, e);
+  const auto matched = publish(e);
   EXPECT_EQ(matched.size(), 40u);
-  EXPECT_EQ(engine_.last_stats().node_evaluations, 3u);
-  EXPECT_EQ(engine_.last_stats().matches, 40u);
+  EXPECT_EQ(ctx_->stats.node_evaluations, 3u);
+  EXPECT_EQ(ctx_->stats.matches, 40u);
 }
 
 TEST_F(NonCanonicalTest, NodeSlotsAreReclaimedPromptlyOnRemove) {
@@ -375,9 +363,14 @@ class NonCanonicalTreeTest : public ::testing::Test {
     return engine_.add(expr.root());
   }
 
+  std::vector<SubscriptionId> publish(const Event& e) {
+    return testing::match_event(engine_, e, *ctx_);
+  }
+
   AttributeRegistry attrs_;
   PredicateTable table_;
   NonCanonicalTreeEngine engine_{table_};
+  std::unique_ptr<MatchContext> ctx_ = engine_.make_context();
 };
 
 TEST_F(NonCanonicalTreeTest, SelectivityReorderingReducesTruthLookups) {
@@ -394,8 +387,8 @@ TEST_F(NonCanonicalTreeTest, SelectivityReorderingReducesTruthLookups) {
   // Warm up the statistics: 'common' fulfils often, 'rare' almost never.
   std::uint64_t lookups_before = 0;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(testing::match_event(engine_, common_event), std::vector{s});
-    lookups_before += engine_.last_stats().truth_lookups;
+    ASSERT_EQ(publish(common_event), std::vector{s});
+    lookups_before += ctx_->stats.truth_lookups;
   }
   EXPECT_EQ(engine_.observed_events(), 50u);
 
@@ -403,8 +396,8 @@ TEST_F(NonCanonicalTreeTest, SelectivityReorderingReducesTruthLookups) {
 
   std::uint64_t lookups_after = 0;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(testing::match_event(engine_, common_event), std::vector{s});
-    lookups_after += engine_.last_stats().truth_lookups;
+    ASSERT_EQ(publish(common_event), std::vector{s});
+    lookups_after += ctx_->stats.truth_lookups;
   }
   // Before: rare probed (miss) then common (hit) = 2 lookups per event.
   // After: common first = 1 lookup per event.
@@ -412,7 +405,7 @@ TEST_F(NonCanonicalTreeTest, SelectivityReorderingReducesTruthLookups) {
   EXPECT_EQ(lookups_after, 50u);
 
   // Semantics unchanged for the rare branch.
-  EXPECT_EQ(testing::match_event(engine_, rare_event), std::vector{s});
+  EXPECT_EQ(publish(rare_event), std::vector{s});
 }
 
 TEST_F(NonCanonicalTreeTest, SelectivityReorderingPreservesMatching) {
@@ -434,11 +427,11 @@ TEST_F(NonCanonicalTreeTest, SelectivityReorderingPreservesMatching) {
                          .set("c", rng.range(0, 5))
                          .set("d", rng.range(0, 2))
                          .build());
-    expected.push_back(testing::match_event(engine_, events.back()));
+    expected.push_back(publish(events.back()));
   }
   engine_.reorder_trees_by_selectivity();
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(testing::match_event(engine_, events[i]), expected[i])
+    EXPECT_EQ(publish(events[i]), expected[i])
         << "event " << i;
   }
 }
@@ -449,12 +442,17 @@ class NonCanonicalOptionsTest : public ::testing::Test {
  protected:
   NonCanonicalEngine& build(const NonCanonicalEngineOptions& options) {
     engine_ = std::make_unique<NonCanonicalEngine>(table_, options);
+    ctx_ = engine_->make_context();
     return *engine_;
   }
 
   SubscriptionId subscribe(std::string_view text) {
     const ast::Expr expr = parse_subscription(text, attrs_, table_);
     return engine_->add(expr.root());
+  }
+
+  std::vector<SubscriptionId> publish(const Event& e) {
+    return testing::match_event(*engine_, e, *ctx_);
   }
 
   ast::Expr parse(std::string_view text) {
@@ -464,6 +462,7 @@ class NonCanonicalOptionsTest : public ::testing::Test {
   AttributeRegistry attrs_;
   PredicateTable table_;
   std::unique_ptr<NonCanonicalEngine> engine_;
+  std::unique_ptr<MatchContext> ctx_;
 };
 
 TEST_F(NonCanonicalOptionsTest, SortedChildrenSharesCommutedRootsByIdentity) {
@@ -476,11 +475,8 @@ TEST_F(NonCanonicalOptionsTest, SortedChildrenSharesCommutedRootsByIdentity) {
   EXPECT_EQ(engine_->distinct_roots(), 1u);
   EXPECT_EQ(engine_->subsumption_hits(), 0u);
   const Event hit = EventBuilder(attrs_).set("a", 1).set("b", 2).build();
-  EXPECT_EQ(testing::match_event(*engine_, hit),
-            testing::sorted(std::vector{s1, s2}));
-  EXPECT_TRUE(
-      testing::match_event(*engine_, EventBuilder(attrs_).set("a", 1).build())
-          .empty());
+  EXPECT_EQ(publish(hit), testing::sorted(std::vector{s1, s2}));
+  EXPECT_TRUE(publish(EventBuilder(attrs_).set("a", 1).build()).empty());
   // Each subscription still reports its own written form. (Scoped: the
   // parsed references must not outlive the drain checks below.)
   {
@@ -490,7 +486,7 @@ TEST_F(NonCanonicalOptionsTest, SortedChildrenSharesCommutedRootsByIdentity) {
     EXPECT_TRUE(ast::equal(w2.root(), *engine_->subscription_ast(s2)));
   }
   EXPECT_TRUE(engine_->remove(s1));
-  EXPECT_EQ(testing::match_event(*engine_, hit), std::vector{s2});
+  EXPECT_EQ(publish(hit), std::vector{s2});
   EXPECT_TRUE(engine_->remove(s2));
   EXPECT_EQ(engine_->forest().live_nodes(), 0u);
   EXPECT_EQ(table_.size(), 0u);
@@ -573,20 +569,19 @@ TEST_F(NonCanonicalOptionsTest, PartialSharingGatesBorrowerOnDonorTruth) {
 
   const Event both = EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3)
                          .build();
-  EXPECT_EQ(testing::match_event(*engine_, both),
-            testing::sorted(std::vector{donor, borrower}));
+  EXPECT_EQ(publish(both), testing::sorted(std::vector{donor, borrower}));
   const Event donor_only =
       EventBuilder(attrs_).set("a", 1).set("b", 2).build();
-  EXPECT_EQ(testing::match_event(*engine_, donor_only), std::vector{donor});
+  EXPECT_EQ(publish(donor_only), std::vector{donor});
 
   // c alone touches the borrower's root but the donor refutes the event:
   // the borrower is skipped before its own (deferred) evaluation — no
   // candidate scan, no node evaluation for it.
   const Event gated = EventBuilder(attrs_).set("c", 3).build();
-  EXPECT_TRUE(testing::match_event(*engine_, gated).empty());
-  EXPECT_GE(engine_->last_stats().covering_skips, 1u);
-  EXPECT_EQ(engine_->last_stats().node_evaluations, 0u);
-  EXPECT_EQ(engine_->last_stats().candidates, 0u);
+  EXPECT_TRUE(publish(gated).empty());
+  EXPECT_GE(ctx_->stats.covering_skips, 1u);
+  EXPECT_EQ(ctx_->stats.node_evaluations, 0u);
+  EXPECT_EQ(ctx_->stats.candidates, 0u);
 }
 
 TEST_F(NonCanonicalOptionsTest, BorrowerNeverOutlivesItsDonorNode) {
@@ -602,10 +597,10 @@ TEST_F(NonCanonicalOptionsTest, BorrowerNeverOutlivesItsDonorNode) {
   EXPECT_GT(nodes_after, 0u);
   const Event both = EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3)
                          .build();
-  EXPECT_EQ(testing::match_event(*engine_, both), std::vector{borrower});
+  EXPECT_EQ(publish(both), std::vector{borrower});
   const Event gated = EventBuilder(attrs_).set("c", 3).build();
-  EXPECT_TRUE(testing::match_event(*engine_, gated).empty());
-  EXPECT_GE(engine_->last_stats().covering_skips, 1u);
+  EXPECT_TRUE(publish(gated).empty());
+  EXPECT_GE(ctx_->stats.covering_skips, 1u);
 
   // The borrower's removal releases the donated reference; everything
   // drains.
@@ -637,13 +632,11 @@ TEST_F(NonCanonicalOptionsTest, NotBearingExpressionsNeverPartialShare) {
   // x absent: the written complement is false, the NOT is true — the
   // borrower-to-be must still match, exactly like the tree engine.
   const Event x_absent = EventBuilder(attrs_).set("a", 1).set("y", 1).build();
-  EXPECT_EQ(testing::match_event(*engine_, x_absent),
-            testing::match_event(reference, x_absent));
-  EXPECT_EQ(testing::match_event(*engine_, x_absent).size(), 1u);
+  EXPECT_EQ(publish(x_absent), testing::match_event(reference, x_absent));
+  EXPECT_EQ(publish(x_absent).size(), 1u);
   const Event x_present =
       EventBuilder(attrs_).set("a", 1).set("y", 1).set("x", 9).build();
-  EXPECT_EQ(testing::match_event(*engine_, x_present),
-            testing::match_event(reference, x_present));
+  EXPECT_EQ(publish(x_present), testing::match_event(reference, x_present));
 }
 
 TEST_F(NonCanonicalOptionsTest, PartialSharingProbesSurviveBudgetOverflow) {
@@ -663,8 +656,7 @@ TEST_F(NonCanonicalOptionsTest, PartialSharingProbesSurviveBudgetOverflow) {
   EventBuilder builder(attrs_);
   builder.set("a", 1).set("z", 1);
   for (int i = 0; i < 8; ++i) builder.set("g" + std::to_string(i), 2);
-  EXPECT_EQ(testing::match_event(*engine_, builder.build()),
-            testing::sorted(std::vector{d, b}));
+  EXPECT_EQ(publish(builder.build()), testing::sorted(std::vector{d, b}));
 }
 
 // ---- Per-event scratch reset regressions -------------------------------
@@ -693,8 +685,7 @@ TEST_F(NonCanonicalOptionsTest, TallTreeThenLeafOnlyEventResetsScratch) {
   const Event leaf_only = EventBuilder(attrs_).set("h", 8).build();
   const Event empty = EventBuilder(attrs_).set("zz", 0).build();
   for (const Event* event : {&tall, &leaf_only, &empty, &leaf_only, &tall}) {
-    EXPECT_EQ(testing::match_event(*engine_, *event),
-              testing::match_event(reference, *event));
+    EXPECT_EQ(publish(*event), testing::match_event(reference, *event));
   }
 }
 
@@ -715,13 +706,10 @@ TEST_F(NonCanonicalOptionsTest, EpochWrapClearsStaleTruth) {
   const Event rich =
       EventBuilder(attrs_).set("a", 1).set("b", 2).set("c", 3).build();
   const Event sparse = EventBuilder(attrs_).set("b", 2).build();
-  EXPECT_EQ(testing::match_event(*engine_, rich),
-            testing::match_event(reference, rich));
-  engine_->force_scratch_epoch_wrap();  // next match wraps the epoch
-  EXPECT_EQ(testing::match_event(*engine_, sparse),
-            testing::match_event(reference, sparse));
-  EXPECT_EQ(testing::match_event(*engine_, rich),
-            testing::match_event(reference, rich));
+  EXPECT_EQ(publish(rich), testing::match_event(reference, rich));
+  NonCanonicalEngine::force_scratch_epoch_wrap(*ctx_);  // next match wraps
+  EXPECT_EQ(publish(sparse), testing::match_event(reference, sparse));
+  EXPECT_EQ(publish(rich), testing::match_event(reference, rich));
 }
 
 TEST_F(NonCanonicalTreeTest, TreeStorageCompaction) {
@@ -734,8 +722,7 @@ TEST_F(NonCanonicalTreeTest, TreeStorageCompaction) {
   engine_.compact_tree_storage();
   EXPECT_EQ(engine_.dead_tree_bytes(), 0u);
   // Matching still works on relocated trees.
-  EXPECT_EQ(testing::match_event(engine_,
-                                 EventBuilder(attrs_).set("a", 1).set("b", 2)
+  EXPECT_EQ(publish(EventBuilder(attrs_).set("a", 1).set("b", 2)
                                      .build()),
             std::vector{ids[1]});
 }

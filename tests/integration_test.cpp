@@ -86,6 +86,7 @@ TEST(ChurnScenarioTest, EngineAgreesWithOracleUnderChurn) {
   AttributeRegistry attrs;
   PredicateTable table;
   NonCanonicalEngine engine(table);
+  const auto ctx = engine.make_context();  // reused across the whole churn
   Pcg32 rng(31415);
 
   struct LiveSub {
@@ -136,7 +137,7 @@ TEST(ChurnScenarioTest, EngineAgreesWithOracleUnderChurn) {
       for (const auto& sub : live) {
         oracle_subs.emplace_back(sub.id, &sub.expr.root());
       }
-      EXPECT_EQ(testing::match_event(engine, e),
+      EXPECT_EQ(testing::match_event(engine, e, *ctx),
                 testing::oracle_match(oracle_subs, table, e))
           << "round " << round << " with " << live.size() << " live subs";
     }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "event/schema.h"
 #include "test_util.h"
 #include "workload/random_workload.h"
@@ -124,8 +123,8 @@ TEST_F(PredicateIndexTest, RandomizedPhase1AgainstBruteForce) {
 }
 
 TEST_F(PredicateIndexTest, BulkLoadEquivalentToSequentialAdds) {
-  // Build the same predicate population twice — add() loop vs bulk_load on a
-  // pool — and require identical phase-1 output on random events.
+  // Build the same predicate population twice — add() loop vs bulk_load —
+  // and require identical phase-1 output on random events.
   RandomWorkloadConfig config;
   config.seed = 4242;
   RandomWorkload workload(config, attrs_, table_);
@@ -144,7 +143,7 @@ TEST_F(PredicateIndexTest, BulkLoadEquivalentToSequentialAdds) {
       }
     }
   }
-  // A NotExists entry exercises the sequential bulk arm too.
+  // A NotExists entry exercises the cross-attribute bulk arm too.
   {
     const Predicate p{attrs_.intern("bulk_gone"), Operator::NotExists,
                       Value(), Value()};
@@ -159,35 +158,24 @@ TEST_F(PredicateIndexTest, BulkLoadEquivalentToSequentialAdds) {
 
   for (const auto& entry : entries) index_.add(entry.id, *entry.predicate);
 
-  PredicateIndex bulk_sequential;
-  bulk_sequential.bulk_load(entries, nullptr);
-
-  ThreadPool pool(4);
-  PredicateIndex bulk_parallel;
-  bulk_parallel.bulk_load(entries, &pool);
+  PredicateIndex bulk;
+  bulk.bulk_load(entries, nullptr);
 
   for (int i = 0; i < 200; ++i) {
     const Event e = workload.next_event();
     std::vector<PredicateId> expected;
     index_.match(e, table_, expected);
-    std::vector<PredicateId> seq;
-    bulk_sequential.match(e, table_, seq);
-    std::vector<PredicateId> par;
-    bulk_parallel.match(e, table_, par);
-    EXPECT_EQ(testing::sorted(std::move(seq)),
+    std::vector<PredicateId> got;
+    bulk.match(e, table_, got);
+    EXPECT_EQ(testing::sorted(std::move(got)),
               testing::sorted(std::move(expected)))
-        << "event " << i;
-    std::vector<PredicateId> expected2;
-    index_.match(e, table_, expected2);
-    EXPECT_EQ(testing::sorted(std::move(par)),
-              testing::sorted(std::move(expected2)))
         << "event " << i;
   }
 
   // Bulk-loaded structures answer removals like incrementally built ones.
   const auto& probe = entries[entries.size() / 2];
-  EXPECT_TRUE(bulk_parallel.remove(probe.id, *probe.predicate));
-  EXPECT_FALSE(bulk_parallel.remove(probe.id, *probe.predicate));
+  EXPECT_TRUE(bulk.remove(probe.id, *probe.predicate));
+  EXPECT_FALSE(bulk.remove(probe.id, *probe.predicate));
 }
 
 TEST_F(PredicateIndexTest, BulkLoadIntoNonEmptyIndexMerges) {

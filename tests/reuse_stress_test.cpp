@@ -16,6 +16,7 @@
 #include "engine/posting_store.h"
 #include "predicate/predicate_table.h"
 #include "subscription/parser.h"
+#include "test_util.h"
 
 namespace ncps {
 namespace {
@@ -169,20 +170,23 @@ TEST_P(EngineReuseTest, StalePostingsDoNotSurvivePredicateIdReuse) {
   }
   ASSERT_EQ(table.id_bound(), 1u) << "B's predicate must recycle A's id";
 
-  std::vector<SubscriptionId> matches;
-  engine->match(EventBuilder(attrs).set("x", 50).set("y", 50).build(),
-                matches);
-  EXPECT_TRUE(matches.empty())
+  const auto ctx = engine->make_context();
+  const Event dead_only = EventBuilder(attrs).set("x", 50).set("y", 50).build();
+  EXPECT_TRUE(testing::match_event(*engine, dead_only, *ctx).empty())
       << "event satisfying only the dead predicate matched";
-  engine->match(EventBuilder(attrs).set("x", 50).set("y", 1).build(),
-                matches);
-  EXPECT_EQ(matches, std::vector<SubscriptionId>{b});
+  const Event live = EventBuilder(attrs).set("x", 50).set("y", 1).build();
+  EXPECT_EQ(testing::match_event(*engine, live, *ctx),
+            std::vector<SubscriptionId>{b});
 }
 
 TEST_P(EngineReuseTest, AddRemoveCyclesKeepAllFreeListsBounded) {
   AttributeRegistry attrs;
   PredicateTable table;
   const auto engine = make_engine(GetParam(), table);
+
+  const auto ctx = engine->make_context();
+  const Event hit =
+      EventBuilder(attrs).set("a", 1'000'000).set("b", -1).build();
 
   constexpr int kSubs = 8;
   std::size_t table_bound = 0;
@@ -209,20 +213,14 @@ TEST_P(EngineReuseTest, AddRemoveCyclesKeepAllFreeListsBounded) {
     }
     // Events hit the fresh predicates; matching exercises the reused
     // association lists before the round unwinds.
-    std::vector<SubscriptionId> matches;
-    engine->match(
-        EventBuilder(attrs).set("a", 1'000'000).set("b", -1).build(),
-        matches);
-    EXPECT_EQ(matches.size(), static_cast<std::size_t>(kSubs));
+    EXPECT_EQ(testing::match_event(*engine, hit, *ctx).size(),
+              static_cast<std::size_t>(kSubs));
 
     for (const SubscriptionId id : ids) EXPECT_TRUE(engine->remove(id));
     EXPECT_EQ(engine->subscription_count(), 0u);
     EXPECT_EQ(table.size(), 0u) << "leaked predicate refs on round " << round;
   }
-  std::vector<SubscriptionId> matches;
-  engine->match(EventBuilder(attrs).set("a", 1'000'000).set("b", -1).build(),
-                matches);
-  EXPECT_TRUE(matches.empty());
+  EXPECT_TRUE(testing::match_event(*engine, hit, *ctx).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineReuseTest,

@@ -1,14 +1,21 @@
 // Failure injection and boundary conditions across the subscription
-// front-end: corrupted encodings, width limits, and printer/parser
-// round-trips on machine-generated trees.
+// front-end: corrupted encodings, width and nesting limits, and
+// printer/parser round-trips on machine-generated trees.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "broker/broker.h"
 #include "common/random.h"
+#include "engine/engine_factory.h"
 #include "subscription/encoded_tree.h"
 #include "subscription/encoded_tree_v2.h"
 #include "subscription/dnf.h"
 #include "subscription/parser.h"
 #include "subscription/printer.h"
+#include "subscription/shared_forest.h"
 #include "workload/random_workload.h"
 
 namespace ncps {
@@ -134,6 +141,119 @@ TEST(ParserFuzzTest, RandomBytesNeverCrash) {
     // successful parses legitimately interned and released with their Exprs.
   }
   EXPECT_EQ(table.size(), 0u);  // every Expr died in the loop
+}
+
+std::string nested(std::size_t depth) {
+  return std::string(depth, '(') + "a == 1" + std::string(depth, ')');
+}
+
+TEST(ParserDepthTest, NestingLimitIsTheForestDepthCap) {
+  AttributeRegistry attrs;
+  PredicateTable table;
+  const std::size_t cap = SharedForest::kMaxDepth;
+  EXPECT_NO_THROW((void)parse_subscription(nested(cap), attrs, table));
+  try {
+    (void)parse_subscription(nested(cap + 1), attrs, table);
+    FAIL() << "nesting past the cap parsed";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.position(), cap);  // the first '(' past the cap
+  }
+  std::string nots;
+  for (std::size_t i = 0; i <= cap; ++i) nots += "not ";
+  EXPECT_THROW((void)parse_subscription(nots + "a == 1", attrs, table),
+               ParseError);
+  EXPECT_EQ(table.size(), 0u);
+}
+
+// `levels` rounds of `a == 1 or b == 1 and (`: each opens one parenthesis
+// but adds two tree levels (an Or over an And), so the tree's height, not
+// the count of open parentheses, is what reaches the cap.
+std::string alternating(std::size_t levels) {
+  std::string text;
+  for (std::size_t i = 0; i < levels; ++i) text += "a == 1 or b == 1 and (";
+  return text + "c == 1" + std::string(levels, ')');
+}
+
+TEST(ParserDepthTest, TreeHeightLimitIsTheForestDepthCap) {
+  AttributeRegistry attrs;
+  PredicateTable table;
+  const std::size_t cap = SharedForest::kMaxDepth;  // odd: 2 * 2047 + 1
+  const std::string at_cap = "not (" + alternating(cap / 2) + ")";
+  {
+    // Every tree the parser returns fits the forest's limits.
+    const ast::Expr expr = parse_subscription(at_cap, attrs, table);
+    EXPECT_NO_THROW(SharedForest::validate_limits(expr.root()));
+  }
+  EXPECT_THROW((void)parse_subscription("not " + at_cap, attrs, table),
+               ParseError);
+  EXPECT_THROW(
+      (void)parse_subscription(alternating(cap / 2 + 1), attrs, table),
+      ParseError);
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(ParserDepthTest, DepthCapSubscriptionsRunThroughEveryEngine) {
+  // The deepest trees the parser accepts subscribe, match and unsubscribe
+  // on a broker of every engine kind: no engine refuses them, and no
+  // recursive walk on that path runs out of stack (the sanitizer build,
+  // with its larger frames, runs this too).
+  std::string nots;
+  for (std::size_t i = 0; i < SharedForest::kMaxDepth; ++i) nots += "not ";
+  const std::string texts[] = {
+      nots + "a == 1",
+      "not (" + alternating(SharedForest::kMaxDepth / 2) + ")"};
+  for (const EngineKind kind : kAllEngineKinds) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    AttributeRegistry attrs;
+    const std::unique_ptr<Broker> broker = Broker::create(attrs, kind);
+    std::size_t hits = 0;
+    const SubscriberId alice =
+        broker->register_subscriber([&](const Notification&) { ++hits; });
+    std::vector<SubscriptionId> ids;
+    for (const std::string& text : texts) {
+      ids.push_back(broker->subscribe(alice, text));
+    }
+    // Both negate an odd number of times: the first is `not a == 1`, and
+    // every round of the second reduces to a == 1 or (b == 1 and c == 1).
+    // Every event carries all three attributes, so the canonical engines'
+    // complement predicates agree with negation.
+    const auto event = [&](int a, int b, int c) {
+      return EventBuilder(attrs).set("a", a).set("b", b).set("c", c).build();
+    };
+    EXPECT_EQ(broker->publish(event(1, 0, 0)), 0u);
+    EXPECT_EQ(broker->publish(event(0, 1, 1)), 1u);
+    EXPECT_EQ(broker->publish(event(0, 1, 0)), 2u);
+    for (const SubscriptionId id : ids) EXPECT_TRUE(broker->unsubscribe(id));
+    EXPECT_EQ(broker->publish(event(0, 1, 0)), 0u);
+    EXPECT_EQ(hits, 3u);
+  }
+}
+
+TEST(ParserDepthTest, HostileNestingIsRejectedNotACrash) {
+  // ~40 KB of nested groups used to overflow the recursive-descent
+  // parser's stack, taking down whatever called subscribe().
+  constexpr std::size_t kDepth = 20'000;
+  const std::string closed = nested(kDepth);
+  const std::string unclosed = std::string(kDepth, '(') + "a == 1";
+  AttributeRegistry attrs;
+  PredicateTable table;
+  for (const std::string* text : {&closed, &unclosed}) {
+    EXPECT_THROW((void)parse_subscription(*text, attrs, table), ParseError);
+  }
+  EXPECT_EQ(table.size(), 0u);
+
+  const std::unique_ptr<Broker> broker = Broker::create(attrs);
+  std::size_t hits = 0;
+  const SubscriberId alice =
+      broker->register_subscriber([&](const Notification&) { ++hits; });
+  for (const std::string* text : {&closed, &unclosed}) {
+    EXPECT_THROW((void)broker->subscribe(alice, *text), ParseError);
+  }
+  EXPECT_EQ(broker->subscription_count(), 0u);
+  // The broker is unharmed: a normal subscription still matches.
+  broker->subscribe(alice, "a == 1");
+  EXPECT_EQ(broker->publish(EventBuilder(attrs).set("a", 1).build()), 1u);
+  EXPECT_EQ(hits, 1u);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 
 #include "broker/broker.h"
 #include "broker/sharded_broker.h"
-#include "common/thread_pool.h"
 #include "subscription/printer.h"
 #include "test_util.h"
 #include "workload/random_workload.h"
@@ -226,27 +225,6 @@ TEST(ShardedBrokerTest, BrokerCreateFactory) {
   EXPECT_EQ(broker->publish(EventBuilder(attrs).set("x", 5).build()), 1u);
   EXPECT_EQ(hits, 1u);
   EXPECT_EQ(broker->engine().subscription_count(), 1u);
-}
-
-TEST(ThreadPoolTest, RunsAllTasksAndJoins) {
-  ThreadPool pool(4);
-  std::vector<int> hits(100, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] = 1; });
-  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
-            static_cast<long>(hits.size()));
-}
-
-TEST(ThreadPoolTest, PropagatesTaskException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-  // Pool stays usable after a failed round.
-  std::vector<int> hits(4, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] = 1; });
-  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 4);
 }
 
 }  // namespace

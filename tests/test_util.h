@@ -2,6 +2,8 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,20 +35,43 @@ std::vector<T> sorted_values(std::vector<T> values) {
   return values;
 }
 
-/// Run an engine's full pipeline and return the sorted match set.
-inline std::vector<SubscriptionId> match_event(FilterEngine& engine,
-                                               const Event& event) {
+/// Run an engine's full pipeline on one event through `ctx` and return the
+/// sorted match set; ctx.stats covers exactly this call afterwards.
+inline std::vector<SubscriptionId> match_event(const FilterEngine& engine,
+                                               const Event& event,
+                                               MatchContext& ctx) {
   std::vector<SubscriptionId> out;
-  engine.match(event, out);
+  VectorSink sink(out);
+  ctx.stats.reset();
+  engine.match_range(std::span<const Event>(&event, 1), 0, 1, sink, ctx);
   return sorted(std::move(out));
 }
 
-/// Run phase 2 only and return the sorted match set.
+/// As above, through a fresh context.
+inline std::vector<SubscriptionId> match_event(const FilterEngine& engine,
+                                               const Event& event) {
+  const std::unique_ptr<MatchContext> ctx = engine.make_context();
+  return match_event(engine, event, *ctx);
+}
+
+/// Run phase 2 only through `ctx` and return the sorted match set; ctx.stats
+/// covers exactly this call afterwards.
 inline std::vector<SubscriptionId> match_predicates(
-    FilterEngine& engine, const std::vector<PredicateId>& fulfilled) {
+    const FilterEngine& engine, const std::vector<PredicateId>& fulfilled,
+    MatchContext& ctx) {
   std::vector<SubscriptionId> out;
-  engine.match_predicates(fulfilled, out);
+  VectorSink sink(out);
+  const Event no_event;  // phase-2-only callers carry no event context
+  ctx.stats.reset();
+  engine.match_predicates(fulfilled, 0, no_event, sink, ctx);
   return sorted(std::move(out));
+}
+
+/// As above, through a fresh context.
+inline std::vector<SubscriptionId> match_predicates(
+    const FilterEngine& engine, const std::vector<PredicateId>& fulfilled) {
+  const std::unique_ptr<MatchContext> ctx = engine.make_context();
+  return match_predicates(engine, fulfilled, *ctx);
 }
 
 /// Brute-force oracle: evaluate every registered expression against the

@@ -5,8 +5,8 @@
 // imbalance actually produces steals. (2) Scheduler-equivalence property
 // tests: the same subscription/event script must yield byte-identical
 // notification *sequences* on the seed Broker and on ShardedBrokers across
-// every scheduler axis — worker count, chunk size (adaptive, forced tiny),
-// kPerShard vs kWorkStealing, spread vs subscriber-affine placement —
+// every scheduler axis — worker count, chunk size (adaptive, forced tiny,
+// one chunk per shard), spread vs subscriber-affine placement —
 // because the deterministic merge promises order independent of steal
 // interleaving. A churn variant interleaves control ops with batches.
 // (3) A TSan-targeted concurrent-reader test: several workers match one
@@ -161,20 +161,21 @@ struct Harness {
   const Event* batch_base = nullptr;
 };
 
+/// Chunk size that makes every batch one task per shard (the
+/// pre-work-stealing baseline).
+constexpr std::size_t kWholeBatch = SIZE_MAX;
+
 /// One point on the scheduler axes.
 struct SchedulerConfig {
   std::size_t shards;
   std::size_t workers;
-  MatchScheduler scheduler = MatchScheduler::kWorkStealing;
   std::size_t chunk = 0;  // 0 = adaptive
   ShardPlacement placement = ShardPlacement::kSpread;
 
   [[nodiscard]] std::string label() const {
     return "shards=" + std::to_string(shards) +
-           "/workers=" + std::to_string(workers) +
-           (scheduler == MatchScheduler::kPerShard ? "/per-shard"
-                                                   : "/stealing") +
-           "/chunk=" + std::to_string(chunk) +
+           "/workers=" + std::to_string(workers) + "/chunk=" +
+           (chunk == kWholeBatch ? "batch" : std::to_string(chunk)) +
            (placement == ShardPlacement::kSubscriberAffine ? "/affine" : "");
   }
 
@@ -183,7 +184,6 @@ struct SchedulerConfig {
                                .engine = kind,
                                .worker_threads = workers,
                                .placement = placement,
-                               .scheduler = scheduler,
                                .match_chunk_events = chunk};
   }
 };
@@ -196,7 +196,7 @@ const SchedulerConfig kSchedulerConfigs[] = {
     {.shards = 2, .workers = 4, .chunk = 1},
     {.shards = 4, .workers = 2, .chunk = 3},
     {.shards = 4, .workers = 4},
-    {.shards = 4, .workers = 4, .scheduler = MatchScheduler::kPerShard},
+    {.shards = 4, .workers = 4, .chunk = kWholeBatch},
     {.shards = 4,
      .workers = 4,
      .placement = ShardPlacement::kSubscriberAffine},
@@ -343,7 +343,7 @@ TEST(WorkStealingChurnTest, BatchedChurnStaysInLockstep) {
         {.shards = 1, .workers = 1},  // the publisher matches inline
         {.shards = 1, .workers = 4},
         {.shards = 4, .workers = 4, .chunk = 1},
-        {.shards = 4, .workers = 4, .scheduler = MatchScheduler::kPerShard},
+        {.shards = 4, .workers = 4, .chunk = kWholeBatch},
         {.shards = 4,
          .workers = 3,
          .placement = ShardPlacement::kSubscriberAffine},
